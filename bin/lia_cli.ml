@@ -52,9 +52,9 @@ let fault_spec_arg =
     & info [ "fault-spec" ] ~docv:"SPEC"
         ~doc:
           "Seeded deterministic fault injection, e.g. \
-           $(b,seed=7,drop=0.1,miss=0.05,oor=0.01,churn=2\\@0.5). Clauses: \
+           $(b,seed=7,drop=0.1,miss=0.05,oor=0.01,churn=2@0.5). Clauses: \
            $(b,seed=N), $(b,drop=P), $(b,miss=P), $(b,nan=P), $(b,oor=P), \
-           $(b,neg=P), $(b,dup=P), $(b,churn=K\\@F), $(b,route_shift=F), \
+           $(b,neg=P), $(b,dup=P), $(b,churn=K@F), $(b,route_shift=F), \
            $(b,none). Same spec, same input: bit-identical faults.")
 
 let jobs_arg =
@@ -63,10 +63,10 @@ let jobs_arg =
     & opt int (Parallel.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains for the covariance and normal-equation kernels (default: \
-           the machine's recommended domain count, capped at 8). Results are \
-           bit-for-bit identical for every value; $(b,--jobs 1) disables the \
-           pool.")
+          "Domains for the covariance and normal-equation kernels and the \
+           Cholesky and QR factorizations (default: the machine's \
+           recommended domain count, capped at 8). Results are bit-for-bit \
+           identical for every value; $(b,--jobs 1) disables the pool.")
 
 (* --- solver selection --------------------------------------------------- *)
 

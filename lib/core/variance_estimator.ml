@@ -204,7 +204,8 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
             end
           end);
       Parallel.Pool.Buffers.return gbufs g);
-  let g = Array.make (nc * nc) 0. in
+  let gm = Linalg.Matrix.zeros nc nc in
+  let g = Linalg.Matrix.unsafe_data gm in
   List.iter
     (fun p ->
       for k = 0 to (nc * nc) - 1 do
@@ -218,8 +219,7 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
         b.(j) <- b.(j) +. p.(j)
       done)
     partial_b;
-  let gm = Linalg.Matrix.init nc nc (fun i j -> g.((i * nc) + j)) in
-  let f = Linalg.Cholesky.factorize_regularized gm in
+  let f = Linalg.Cholesky.factorize_regularized ?jobs gm in
   let v = Linalg.Cholesky.solve_vec f b in
   let v = if clamp then Array.map (fun x -> Float.max 0. x) v else v in
   let pairs_total = Array.fold_left ( + ) 0 blk_nonempty in

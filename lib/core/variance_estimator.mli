@@ -36,7 +36,8 @@ val solve :
 (** The estimated link variance vector [v̂] (length = columns of [a]).
     Raises [Invalid_argument] on a length mismatch and [Failure] if the
     dense QR path meets a rank-deficient system. [jobs] parallelizes the
-    normal-equation assembly (ignored by the dense QR path). *)
+    normal-equation assembly and its Cholesky factorization (ignored by
+    the dense QR path). *)
 
 val estimate :
   ?options:options -> ?jobs:int ->
@@ -79,8 +80,11 @@ val estimate_streaming :
 
     The pair triangle is partitioned into balanced blocks processed by
     [jobs] domains (default [Parallel.Pool.default_jobs ()], so 1 on a
-    single-core host); per-block partials are merged in a fixed order, so
-    the result is bit-for-bit identical for every [jobs] value.
+    single-core host); per-block partials are merged in a fixed order.
+    The Gram matrix is then factored by {!Linalg.Cholesky}, whose rows
+    are spread over the same [jobs] domains with a fixed per-entry
+    operation order. The result is bit-for-bit identical for every
+    [jobs] value.
 
     [min_pair_samples] (default 2) is the effective-sample-size guard of
     the pairwise-complete path: pairs with fewer overlapping snapshots

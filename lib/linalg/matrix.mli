@@ -39,6 +39,12 @@ val unsafe_get : t -> int -> int -> float
 val unsafe_set : t -> int -> int -> float -> unit
 (** [set] without bounds checks; same contract as {!unsafe_get}. *)
 
+val unsafe_data : t -> float array
+(** The row-major storage itself, not a copy: entry [(i, j)] sits at
+    index [i * cols + j], and writes show through the matrix. For the
+    dense kernels that fill or factor a matrix in place ([Cholesky], the
+    Phase-1 Gram assembly). *)
+
 val copy : t -> t
 
 val row : t -> int -> Vector.t

@@ -9,83 +9,101 @@ type t = {
   piv : int array; (* piv.(j) = original index of factored column j *)
 }
 
-(* Build the Householder reflection annihilating a.(k+1..m-1, k); store the
-   vector below the diagonal with the implicit convention v.(k) = 1. *)
-let house_column a m k =
+(* The factorization runs on a column-major working copy [c] (entry
+   (i, j) at [j * m + i]: the storage of the transpose), so building a
+   reflector and applying it to a column are contiguous dot products and
+   axpys; the result is transposed back into the row-major [a] once at
+   the end. Every value is computed with the operations, and in the
+   order, of the textbook row-major loop: each sum runs in ascending row
+   index. *)
+
+(* Build the Householder reflection annihilating column k below the
+   diagonal; store the vector there with the implicit convention
+   v.(k) = 1. *)
+let house_column c m k =
+  let ck = k * m in
   let alpha = ref 0. in
   for i = k to m - 1 do
-    let x = Matrix.unsafe_get a i k in
+    let x = Array.unsafe_get c (ck + i) in
     alpha := !alpha +. (x *. x)
   done;
   let alpha = sqrt !alpha in
   if alpha = 0. then 0.
   else begin
-    let akk = Matrix.unsafe_get a k k in
+    let akk = Array.unsafe_get c (ck + k) in
     let alpha = if akk > 0. then -.alpha else alpha in
     let v0 = akk -. alpha in
     (* v = x - alpha e1; normalize so v.(k) = 1 *)
     if v0 = 0. then 0.
     else begin
       for i = k + 1 to m - 1 do
-        Matrix.unsafe_set a i k (Matrix.unsafe_get a i k /. v0)
+        Array.unsafe_set c (ck + i) (Array.unsafe_get c (ck + i) /. v0)
       done;
       let vtv = ref 1. in
       for i = k + 1 to m - 1 do
-        let v = Matrix.unsafe_get a i k in
+        let v = Array.unsafe_get c (ck + i) in
         vtv := !vtv +. (v *. v)
       done;
-      Matrix.unsafe_set a k k alpha;
+      Array.unsafe_set c (ck + k) alpha;
       2. /. !vtv
     end
   end
 
-let apply_house_to_col a m k beta j =
+let apply_house_to_col c m k beta j =
   (* column j of the trailing matrix: x <- x - beta v (v' x) *)
-  let vtx = ref (Matrix.unsafe_get a k j) in
+  let ck = k * m and cj = j * m in
+  let vtx = ref (Array.unsafe_get c (cj + k)) in
   for i = k + 1 to m - 1 do
-    vtx := !vtx +. (Matrix.unsafe_get a i k *. Matrix.unsafe_get a i j)
+    vtx := !vtx +. (Array.unsafe_get c (ck + i) *. Array.unsafe_get c (cj + i))
   done;
   let s = beta *. !vtx in
-  Matrix.unsafe_set a k j (Matrix.unsafe_get a k j -. s);
+  Array.unsafe_set c (cj + k) (Array.unsafe_get c (cj + k) -. s);
   for i = k + 1 to m - 1 do
-    Matrix.unsafe_set a i j (Matrix.unsafe_get a i j -. (s *. Matrix.unsafe_get a i k))
+    Array.unsafe_set c (cj + i)
+      (Array.unsafe_get c (cj + i) -. (s *. Array.unsafe_get c (ck + i)))
   done
 
 (* Distinct columns touch disjoint state, so the trailing update can run
-   one column per pool task; blocks are sized so each carries a few
-   thousand flops whatever the column height. Column j's arithmetic is
-   independent of which domain runs it — bit-for-bit jobs-invariant. *)
-let update_trailing ?jobs a m n k beta =
+   one column per pool task; blocks are sized so each carries some 16k
+   multiply-adds whatever the column height, and a single block runs
+   inline. Column j's arithmetic is independent of which domain runs
+   it — bit-for-bit jobs-invariant. *)
+let update_trailing ?jobs c m n k beta =
   let cols = n - k - 1 in
-  if cols > 0 then
-    Pool.parallel_for ?jobs
-      ~min_block:(max 8 (4096 / (max 1 (m - k))))
-      ~n:cols
-      (fun t -> apply_house_to_col a m k beta (k + 1 + t))
+  let blocks = Chunk.block_count ~min_block:(max 8 (16384 / max 1 (m - k))) cols in
+  let run bk =
+    let lo, hi = Chunk.range ~blocks ~n:cols bk in
+    for t = lo to hi - 1 do
+      apply_house_to_col c m k beta (k + 1 + t)
+    done
+  in
+  if blocks = 1 then run 0 else if blocks > 1 then Pool.for_blocks ?jobs blocks run
 
 let factorize_gen ?jobs ~pivot mat =
   let m = Matrix.rows mat and n = Matrix.cols mat in
-  let a = Matrix.copy mat in
+  let ct = Matrix.transpose mat in
+  let c = Matrix.unsafe_data ct in
   let steps = min m n in
   let beta = Array.make (max steps 0) 0. in
   let piv = Array.init n (fun j -> j) in
   let colnorm2 =
-    if pivot then Array.init n (fun j -> Vector.dot (Matrix.col a j) (Matrix.col a j))
+    if pivot then
+      Array.init n (fun j ->
+          let col = Array.sub c (j * m) m in
+          Vector.dot col col)
     else [||]
   in
   let swap_cols j1 j2 =
     if j1 <> j2 then begin
-      for i = 0 to m - 1 do
-        let x = Matrix.unsafe_get a i j1 in
-        Matrix.unsafe_set a i j1 (Matrix.unsafe_get a i j2);
-        Matrix.unsafe_set a i j2 x
-      done;
+      let tmp = Array.sub c (j1 * m) m in
+      Array.blit c (j2 * m) c (j1 * m) m;
+      Array.blit tmp 0 c (j2 * m) m;
       let p = piv.(j1) in
       piv.(j1) <- piv.(j2);
       piv.(j2) <- p;
-      let c = colnorm2.(j1) in
+      let t = colnorm2.(j1) in
       colnorm2.(j1) <- colnorm2.(j2);
-      colnorm2.(j2) <- c
+      colnorm2.(j2) <- t
     end
   in
   for k = 0 to steps - 1 do
@@ -96,16 +114,16 @@ let factorize_gen ?jobs ~pivot mat =
       done;
       swap_cols k !best
     end;
-    let b = house_column a m k in
+    let b = house_column c m k in
     beta.(k) <- b;
-    if b <> 0. then update_trailing ?jobs a m n k b;
+    if b <> 0. then update_trailing ?jobs c m n k b;
     if pivot then
       for j = k + 1 to n - 1 do
-        let rkj = Matrix.unsafe_get a k j in
+        let rkj = Array.unsafe_get c ((j * m) + k) in
         colnorm2.(j) <- Float.max 0. (colnorm2.(j) -. (rkj *. rkj))
       done
   done;
-  { m; n; a; beta; piv }
+  { m; n; a = Matrix.transpose ct; beta; piv }
 
 let factorize ?jobs mat = factorize_gen ?jobs ~pivot:false mat
 

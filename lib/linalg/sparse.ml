@@ -265,7 +265,7 @@ let normal_rhs = tmul_vec
 let least_squares ?ridge ?jobs m b =
   let g = normal_matrix ?jobs m in
   let rhs = normal_rhs m b in
-  let f = Cholesky.factorize_regularized ?ridge g in
+  let f = Cholesky.factorize_regularized ?jobs ?ridge g in
   Cholesky.solve_vec f rhs
 
 let equal m1 m2 =

@@ -119,7 +119,9 @@ val least_squares : ?ridge:float -> ?jobs:int -> t -> Vector.t -> Vector.t
 (** Minimizes [‖a x − b‖₂] by solving the normal equations with a
     (regularized) Cholesky factorization. Suitable when [a] has full column
     rank, which Theorem 1 guarantees for augmented matrices of valid
-    topologies. *)
+    topologies. [jobs] is passed to {!normal_matrix} and
+    {!Cholesky.factorize_regularized}; the result is bit-for-bit
+    identical for every value. *)
 
 val equal : t -> t -> bool
 

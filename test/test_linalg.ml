@@ -404,10 +404,296 @@ let prop_rank_bounded =
       done;
       r <= min m n && r = !greedy)
 
+(* --- blocked kernels against the unblocked reference ------------------- *)
+
+(* The unblocked, row-by-row Cholesky and the row-major Householder QR the
+   library used before its kernels were blocked, kept here verbatim as
+   oracles: the blocked kernels must reproduce them bit for bit. *)
+module Reference = struct
+  let cholesky m =
+    let n = Matrix.rows m in
+    let l = Array.init n (fun i -> Array.init n (fun j -> Matrix.get m i j)) in
+    for j = 0 to n - 1 do
+      let lj = l.(j) in
+      let s = ref lj.(j) in
+      for k = 0 to j - 1 do
+        let ljk = lj.(k) in
+        s := !s -. (ljk *. ljk)
+      done;
+      if !s <= 0. || Float.is_nan !s then raise Cholesky.Not_positive_definite;
+      let d = sqrt !s in
+      lj.(j) <- d;
+      for i = j + 1 to n - 1 do
+        let li = l.(i) in
+        let s = ref li.(j) in
+        for k = 0 to j - 1 do
+          s := !s -. (li.(k) *. lj.(k))
+        done;
+        li.(j) <- !s /. d
+      done
+    done;
+    Matrix.init n n (fun i j -> if j <= i then l.(i).(j) else 0.)
+
+  let cholesky_regularized ?(ridge = 1e-10) m =
+    let n = Matrix.rows m in
+    let mean_diag =
+      if n = 0 then 0.
+      else begin
+        let s = ref 0. in
+        for i = 0 to n - 1 do
+          s := !s +. Float.abs (Matrix.get m i i)
+        done;
+        !s /. float_of_int n
+      end
+    in
+    let base = if mean_diag > 0. then mean_diag else 1. in
+    let rec attempt r =
+      let shifted =
+        if r = 0. then m
+        else
+          Matrix.init n n (fun i j ->
+              if i = j then Matrix.get m i j +. (r *. base) else Matrix.get m i j)
+      in
+      match cholesky shifted with
+      | f -> f
+      | exception Cholesky.Not_positive_definite ->
+          if r = 0. then attempt ridge
+          else if r > 1e-2 then raise Cholesky.Not_positive_definite
+          else attempt (r *. 10.)
+    in
+    attempt 0.
+
+  type qr = { m : int; a : Matrix.t; beta : float array; piv : int array }
+
+  let house_column a m k =
+    let alpha = ref 0. in
+    for i = k to m - 1 do
+      let x = Matrix.get a i k in
+      alpha := !alpha +. (x *. x)
+    done;
+    let alpha = sqrt !alpha in
+    if alpha = 0. then 0.
+    else begin
+      let akk = Matrix.get a k k in
+      let alpha = if akk > 0. then -.alpha else alpha in
+      let v0 = akk -. alpha in
+      if v0 = 0. then 0.
+      else begin
+        for i = k + 1 to m - 1 do
+          Matrix.set a i k (Matrix.get a i k /. v0)
+        done;
+        let vtv = ref 1. in
+        for i = k + 1 to m - 1 do
+          let v = Matrix.get a i k in
+          vtv := !vtv +. (v *. v)
+        done;
+        Matrix.set a k k alpha;
+        2. /. !vtv
+      end
+    end
+
+  let apply_house_to_col a m k beta j =
+    let vtx = ref (Matrix.get a k j) in
+    for i = k + 1 to m - 1 do
+      vtx := !vtx +. (Matrix.get a i k *. Matrix.get a i j)
+    done;
+    let s = beta *. !vtx in
+    Matrix.set a k j (Matrix.get a k j -. s);
+    for i = k + 1 to m - 1 do
+      Matrix.set a i j (Matrix.get a i j -. (s *. Matrix.get a i k))
+    done
+
+  let qr ~pivot mat =
+    let m = Matrix.rows mat and n = Matrix.cols mat in
+    let a = Matrix.copy mat in
+    let steps = min m n in
+    let beta = Array.make (max steps 0) 0. in
+    let piv = Array.init n (fun j -> j) in
+    let colnorm2 =
+      if pivot then Array.init n (fun j -> Vector.dot (Matrix.col a j) (Matrix.col a j))
+      else [||]
+    in
+    let swap_cols j1 j2 =
+      if j1 <> j2 then begin
+        for i = 0 to m - 1 do
+          let x = Matrix.get a i j1 in
+          Matrix.set a i j1 (Matrix.get a i j2);
+          Matrix.set a i j2 x
+        done;
+        let p = piv.(j1) in
+        piv.(j1) <- piv.(j2);
+        piv.(j2) <- p;
+        let c = colnorm2.(j1) in
+        colnorm2.(j1) <- colnorm2.(j2);
+        colnorm2.(j2) <- c
+      end
+    in
+    for k = 0 to steps - 1 do
+      if pivot then begin
+        let best = ref k in
+        for j = k + 1 to n - 1 do
+          if colnorm2.(j) > colnorm2.(!best) then best := j
+        done;
+        swap_cols k !best
+      end;
+      let b = house_column a m k in
+      beta.(k) <- b;
+      if b <> 0. then
+        for j = k + 1 to n - 1 do
+          apply_house_to_col a m k b j
+        done;
+      if pivot then
+        for j = k + 1 to n - 1 do
+          let rkj = Matrix.get a k j in
+          colnorm2.(j) <- Float.max 0. (colnorm2.(j) -. (rkj *. rkj))
+        done
+    done;
+    { m; a; beta; piv }
+
+  let r f =
+    let k = min f.m (Matrix.cols f.a) in
+    Matrix.init k (Matrix.cols f.a) (fun i j -> if j >= i then Matrix.get f.a i j else 0.)
+
+  let apply_qt f b =
+    let y = Array.copy b in
+    for k = 0 to Array.length f.beta - 1 do
+      let beta = f.beta.(k) in
+      if beta <> 0. then begin
+        let vty = ref y.(k) in
+        for i = k + 1 to f.m - 1 do
+          vty := !vty +. (Matrix.get f.a i k *. y.(i))
+        done;
+        let s = beta *. !vty in
+        y.(k) <- y.(k) -. s;
+        for i = k + 1 to f.m - 1 do
+          y.(i) <- y.(i) -. (s *. Matrix.get f.a i k)
+        done
+      end
+    done;
+    y
+end
+
+module Rng = Nstats.Rng
+
+let bits_equal = Generators.vec_bits_equal
+
+let matrix_bits_equal = Generators.matrix_bits_equal
+
+(* [Some factor], or [None] when the factorization raises
+   [Not_positive_definite] *)
+let outcome factor =
+  match factor () with
+  | l -> Some l
+  | exception Cholesky.Not_positive_definite -> None
+
+(* Gram matrices of order n: [`Spd] from a tall random matrix, [`Singular]
+   from a wide one (rank n/2), [`Counts] the 0/1 incidence Gram the Phase-1
+   normal equations produce, rank-deficient when it has fewer rows than n. *)
+let gram_of_kind rng kind n =
+  match kind with
+  | `Spd -> Matrix.gram (Matrix.init (n + 2) n (fun _ _ -> Rng.uniform rng (-1.) 1.))
+  | `Singular -> Matrix.gram (Matrix.init (n / 2) n (fun _ _ -> Rng.uniform rng (-1.) 1.))
+  | `Counts ->
+      let rows =
+        Array.init (max 1 (n - 3 + Rng.int rng 8)) (fun _ ->
+            List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng n)
+            |> List.sort_uniq compare |> Array.of_list)
+      in
+      Sparse.normal_matrix ~jobs:1 (Sparse.create ~cols:n rows)
+
+(* the blocked kernels raise exactly when the reference does, and
+   otherwise return bit-identical factors, for every jobs value *)
+let cholesky_case_ok g =
+  let plain = outcome (fun () -> Reference.cholesky g) in
+  let regularized = outcome (fun () -> Reference.cholesky_regularized g) in
+  let agrees expected factor =
+    match (expected, outcome (fun () -> Cholesky.lower (factor ()))) with
+    | None, None -> true
+    | Some e, Some l -> matrix_bits_equal e l
+    | _ -> false
+  in
+  List.for_all
+    (fun jobs ->
+      agrees plain (fun () -> Cholesky.factorize ~jobs g)
+      && agrees regularized (fun () -> Cholesky.factorize_regularized ~jobs g))
+    [ 1; 2; 4 ]
+
+let prop_cholesky_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"Cholesky (+regularized): bit-equal to the unblocked reference, jobs in {1,2,4}"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 200 in
+      let kind = [| `Spd; `Singular; `Counts |].(seed mod 3) in
+      cholesky_case_ok (gram_of_kind rng kind n))
+
+(* orders on both sides of the 32-column panel, the 4-row tile and the
+   order-128 switch to the pool *)
+let test_cholesky_edges () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n = %d" n) true
+            (cholesky_case_ok (gram_of_kind rng kind n)))
+        [ `Spd; `Singular; `Counts ])
+    [ 1; 2; 3; 4; 5; 7; 8; 31; 32; 33; 34; 35; 36; 37; 63; 64; 65; 127; 128; 129;
+      130; 131; 132; 133; 159; 160; 161; 199; 200 ];
+  (* every ridge fails: both raise after the last retry *)
+  Alcotest.(check bool) "negative definite" true
+    (cholesky_case_ok (Matrix.scale (-1.) (Matrix.identity 140)))
+
+(* R, the pivots and Qᵀ applied to every basis vector (which exposes each
+   Householder vector and coefficient) all bit-equal to the reference *)
+let qr_agrees ~pivot a =
+  let expected = Reference.qr ~pivot a in
+  let basis =
+    List.init (Matrix.rows a) (fun i ->
+        Array.init (Matrix.rows a) (fun k -> if k = i then 1. else 0.))
+  in
+  let expected_qt = List.map (Reference.apply_qt expected) basis in
+  List.for_all
+    (fun jobs ->
+      let f = if pivot then Qr.factorize_pivoted ~jobs a else Qr.factorize ~jobs a in
+      matrix_bits_equal (Reference.r expected) (Qr.r f)
+      && Qr.pivots f = expected.Reference.piv
+      && List.for_all2 (fun e q -> bits_equal q (Qr.apply_qt f e)) basis expected_qt)
+    [ 1; 2; 4 ]
+
+(* entries uniform in [-2, 2], each column zeroed with probability 1/5 so
+   some reflectors are trivial (beta = 0) *)
+let random_qr_input rng m n =
+  let zero = Array.init n (fun _ -> Rng.int rng 5 = 0) in
+  Matrix.init m n (fun _ j -> if zero.(j) then 0. else Rng.uniform rng (-2.) 2.)
+
+let prop_qr_matches_reference =
+  QCheck.Test.make ~count:60
+    ~name:"Qr.factorize(+pivoted): bit-equal to the row-major reference, jobs in {1,2,4}"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = 1 + Rng.int rng 60 and n = 1 + Rng.int rng 60 in
+      let a = random_qr_input rng m n in
+      qr_agrees ~pivot:false a && qr_agrees ~pivot:true a)
+
+(* sizes whose trailing updates span several pool blocks *)
+let test_qr_parallel_sizes () =
+  let rng = Rng.create 5 in
+  List.iter
+    (fun (m, n) ->
+      let a = random_qr_input rng m n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d" m n) true
+        (qr_agrees ~pivot:false a && qr_agrees ~pivot:true a))
+    [ (200, 120); (150, 260); (257, 64) ]
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_qr_reconstructs; prop_cholesky_solves; prop_sparse_matches_dense;
-      prop_rank_bounded ]
+      prop_rank_bounded; prop_cholesky_matches_reference; prop_qr_matches_reference ]
 
 let () =
   Alcotest.run "linalg"
@@ -441,6 +727,7 @@ let () =
           Alcotest.test_case "R factor" `Quick test_qr_r_factor;
           Alcotest.test_case "pivots" `Quick test_qr_pivots;
           Alcotest.test_case "singular raises" `Quick test_qr_singular_raises;
+          Alcotest.test_case "reference at parallel sizes" `Quick test_qr_parallel_sizes;
         ] );
       ( "cholesky",
         [
@@ -448,6 +735,7 @@ let () =
           Alcotest.test_case "not positive definite" `Quick test_cholesky_not_pd;
           Alcotest.test_case "regularized" `Quick test_cholesky_regularized;
           Alcotest.test_case "log det" `Quick test_cholesky_log_det;
+          Alcotest.test_case "reference at panel and tile edges" `Quick test_cholesky_edges;
         ] );
       ( "conjugate_gradient",
         [

@@ -435,6 +435,7 @@ let test_metric_names_conform () =
   touch Core.Augmented.build;
   touch Core.Variance_estimator.estimate;
   touch Linalg.Conjugate_gradient.solve;
+  touch Linalg.Cholesky.factorize;
   touch Pool.get;
   let prefixes = [ "lia_"; "pool_"; "plan_" ] in
   let conforms name =
