@@ -4,11 +4,12 @@
    is n_p(n_p+1)/2 — the n_p² wall. Three ways through it:
 
      - dense-qr : materialize A as a dense matrix and run Householder QR
-       (the textbook solve, and the oracle the qcheck suite tests
-       against). O(pairs · n_c²) flops and O(pairs · n_c) memory.
-     - dense    : materialize A sparse and solve the normal equations
-       (the [--solver dense] production path). O(pairs · nnz_row²) work,
-       O(pairs · nnz_row) memory for A itself.
+       (the paper's solve, kept only as the oracle the test suite and
+       this sweep check against). O(pairs · n_c²) flops and
+       O(pairs · n_c) memory.
+     - dense    : stream the normal equations over the pair triangle
+       without materializing A (the [--solver dense] production path).
+       O(pairs · nnz_row²) work, O(n_c²) memory for the Gram matrix.
      - cgls     : never materialize A — matrix-free CGLS over cache-
        blocked tiles of the routing matrix ([--solver cgls]).
        O(iters · pairs · path-length) work, O(n_p + n_c) extra memory.
@@ -104,8 +105,12 @@ let full_rank_mf =
     mf_clamp = false;
   }
 
-let full_rank_dqr =
-  { VE.method_ = VE.Dense_qr; drop_negative = false; clamp = false }
+(* The dense-QR oracle in the same regime: Householder QR of the
+   materialized augmented matrix over every row, unclamped. *)
+let dense_qr_oracle ~r ~y =
+  Linalg.Qr.solve
+    (Sparse.to_dense (Core.Augmented.build r))
+    (Core.Covariance.sigma_star y)
 
 let rel_err_bound = 1e-6
 
@@ -133,7 +138,7 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
         time_best ~reps (fun () -> VE.estimate_matfree_ess ~r ~y:y_learn ())
       in
       let t_dense, _ =
-        time_best ~reps (fun () -> VE.estimate ~r ~y:y_learn ())
+        time_best ~reps (fun () -> VE.estimate_streaming_ess ~r ~y:y_learn ())
       in
       let dqr =
         if np <= dense_qr_max_paths then begin
@@ -142,8 +147,7 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
                 VE.estimate_matfree_ess ~options:full_rank_mf ~r ~y:y_learn ())
           in
           let t_dqr, v_dqr =
-            time_best ~reps:1 (fun () ->
-                VE.estimate ~options:full_rank_dqr ~r ~y:y_learn ())
+            time_best ~reps:1 (fun () -> dense_qr_oracle ~r ~y:y_learn)
           in
           let err = worst_rel_diff v_dqr v_mf in
           if err > rel_err_bound then
@@ -458,9 +462,7 @@ let run_precond_smoke () =
   let y_now = target.Netsim.Snapshot.y in
   let infer solver = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
   let res_dense = infer Core.Lia.Dense in
-  let cgls precond =
-    Core.Lia.Cgls { tol = 1e-12; max_iter = None; sample = None; precond }
-  in
+  let cgls precond = Core.Lia.Cgls { tol = 1e-12; max_iter = None; precond } in
   let res_cgls = infer (cgls VE.Pc_jacobi) in
   let res_blk = infer (cgls (VE.Pc_block_jacobi groups)) in
   let check name a b =
@@ -510,7 +512,7 @@ let run_smoke () =
   let v_mf, _, stats =
     VE.estimate_matfree_ess ~options:full_rank_mf ~r ~y:y_learn ()
   in
-  let v_dqr = VE.estimate ~options:full_rank_dqr ~r ~y:y_learn () in
+  let v_dqr = dense_qr_oracle ~r ~y:y_learn in
   let err = worst_rel_diff v_dqr v_mf in
   if err > rel_err_bound then
     failwith (Printf.sprintf "solver-smoke: parity rel err %.2e" err);

@@ -29,7 +29,7 @@ let run () =
   let y_learn =
     Matrix.init m (Linalg.Sparse.rows r) (fun l i -> Matrix.get run.Simulator.y l i)
   in
-  let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
+  let variances, _ = Core.Lia.learn ~r ~y:y_learn () in
   let results =
     Array.init post (fun t ->
         Core.Lia.infer_with_variances ~r ~variances

@@ -4,7 +4,8 @@
    milliseconds, solving (9) ~10x longer, the inference runs in under a
    second once A is known; computing A took up to an hour (they only do it
    once). Our OCaml pipeline is measured per phase below, including the
-   method ablation (streaming normal equations vs dense QR). *)
+   streaming normal equations against a Cholesky solve of the explicit
+   ones. *)
 
 open Bechamel
 open Toolkit
@@ -20,14 +21,14 @@ let make_inputs () =
   let config = Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated in
   let run = Netsim.Simulator.run rng config r ~count:51 in
   let y_learn, target = Netsim.Simulator.split_learning run ~learning:50 in
-  let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
+  let variances, _ = Core.Lia.learn ~r ~y:y_learn () in
   (r, y_learn, target, variances)
 
 let tests (r, y_learn, target, variances) =
   let y_now = target.Netsim.Snapshot.y in
   let kept = (Core.Rank_reduction.eliminate r variances).Core.Rank_reduction.kept in
   let r_star = Sparse.dense_cols r kept in
-  (* ablation inputs: the same normal-equation system solved two ways *)
+  (* ablation input: the explicit normal-equation system *)
   let a = Core.Augmented.build r in
   let gram = Sparse.normal_matrix a in
   let rhs = Sparse.normal_rhs a (Core.Covariance.sigma_star y_learn) in
@@ -36,7 +37,7 @@ let tests (r, y_learn, target, variances) =
       Test.make ~name:"build-A" (Staged.stage (fun () -> Core.Augmented.build r));
       Test.make ~name:"variances-streaming"
         (Staged.stage (fun () ->
-             Core.Variance_estimator.estimate_streaming ~r ~y:y_learn ()));
+             Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn ()));
       Test.make ~name:"rank-reduction"
         (Staged.stage (fun () -> Core.Rank_reduction.eliminate r variances));
       Test.make ~name:"solve-eq9"
@@ -55,9 +56,6 @@ let tests (r, y_learn, target, variances) =
              Linalg.Cholesky.solve_vec
                (Linalg.Cholesky.factorize_regularized gram)
                rhs));
-      Test.make ~name:"normal-solve-cg"
-        (Staged.stage (fun () ->
-             Linalg.Conjugate_gradient.solve ~tol:1e-8 gram rhs));
     ]
 
 let run () =
@@ -107,7 +105,7 @@ let run () =
       let run = Netsim.Simulator.run rng config r ~count:51 in
       let y_learn, target = Netsim.Simulator.split_learning run ~learning:50 in
       let t0 = Unix.gettimeofday () in
-      let v = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+      let v, _ = Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn () in
       let t_learn = Unix.gettimeofday () -. t0 in
       let t0 = Unix.gettimeofday () in
       ignore
@@ -142,7 +140,9 @@ let kernels ~r ~y_learn ~a =
   [
     ( "estimate_streaming",
       fun jobs ->
-        ignore (Core.Variance_estimator.estimate_streaming ~jobs ~r ~y:y_learn ()) );
+        ignore
+          (Core.Variance_estimator.estimate_streaming_ess ~jobs ~r ~y:y_learn ())
+    );
     ( "covariance_matrix",
       fun jobs -> ignore (Nstats.Descriptive.covariance_matrix ~jobs y_learn) );
     ("augmented_build", fun jobs -> ignore (Core.Augmented.build ~jobs r));
@@ -207,7 +207,7 @@ let plan_stats ~jobs_list ~reps ~r ~variances ~ys =
 let obs_overhead ~reps ~r ~y_learn =
   let reg = Obs.Metrics.default in
   let kernel () =
-    ignore (Core.Variance_estimator.estimate_streaming ~r ~y:y_learn ())
+    ignore (Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn ())
   in
   Obs.Metrics.disable reg;
   kernel ();
@@ -351,7 +351,9 @@ let sweep ?(extra_json = "") ~out ~jobs_list ~reps ~snapshots ~plan_snapshots
         (kernels ~r ~y_learn ~a);
       Buffer.add_string buf "\n      ],\n";
       (* factor-once plan vs per-call Lia.infer_with_variances *)
-      let variances = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+      let variances, _ =
+        Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn ()
+      in
       let ys =
         (Netsim.Simulator.run (Nstats.Rng.create (7700 + hosts)) config r
            ~count:plan_snapshots)
@@ -513,7 +515,9 @@ let run_obs_smoke () =
   in
   let run = Netsim.Simulator.run rng config r ~count:21 in
   let y_learn, target = Netsim.Simulator.split_learning run ~learning:20 in
-  let variances = Core.Variance_estimator.estimate_streaming ~r ~y:y_learn () in
+  let variances, _ =
+    Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn ()
+  in
   let plan = Core.Plan.make ~r ~variances () in
   ignore (Core.Plan.solve plan target.Netsim.Snapshot.y);
   Obs.Logger.info Obs.Logger.default "obs smoke pipeline done"

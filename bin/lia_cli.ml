@@ -146,7 +146,6 @@ let solver_of ~solver ~cgls_tol ~cgls_max_iter ~precond =
         {
           tol = cgls_tol;
           max_iter = (if cgls_max_iter <= 0 then None else Some cgls_max_iter);
-          sample = None;
           precond;
         }
 
@@ -488,6 +487,15 @@ let infer_cmd =
   let run testbed measurements snapshots fault_spec threshold top jobs solver
       cgls_tol cgls_max_iter precond partition warm_start obs_cfg =
     with_obs obs_cfg @@ fun () ->
+    (* flag conflicts fail before any file is read, so a malformed input
+       can never mask them *)
+    if jobs < 1 then failwith "--jobs must be at least 1";
+    if warm_start && snapshots = None then
+      failwith "--warm-start requires --snapshots";
+    if snapshots <> None && not (Netsim.Faults.is_none fault_spec) then
+      failwith "--fault-spec is not supported with --snapshots";
+    if warm_start && solver <> `Cgls then
+      failwith "--warm-start requires --solver cgls";
     let log = Obs.Logger.default in
     let tb = Topology.Serial.load testbed in
     let red = routing_of_testbed tb in
@@ -503,10 +511,8 @@ let infer_cmd =
           ("paths", Obs.Field.Int (Sparse.rows r));
           ("links", Obs.Field.Int (Sparse.cols r));
         ];
-    if jobs < 1 then failwith "--jobs must be at least 1";
     match snapshots with
     | None ->
-        if warm_start then failwith "--warm-start requires --snapshots";
         (* The default diagnosis path is quarantine-aware: it loads
            permissively and reports a typed health verdict, so a file
            written by [sim --fault-spec] (or a ragged real-world
@@ -540,57 +546,18 @@ let infer_cmd =
                    { Core.Report.default_options with Core.Report.threshold; top }
                  ~graph:tb.Topology.Testbed.graph ~routing:red result))
     | Some file ->
-        if not (Netsim.Faults.is_none fault_spec) then
-          failwith "--fault-spec is not supported with --snapshots";
         let y = Netsim.Trace_io.load measurements in
         if Matrix.cols y <> Sparse.rows r then
           failwith "measurement width does not match the testbed's path count";
         if Matrix.rows y < 2 then
           failwith "need at least 2 learning snapshots to learn variances";
-        let variances =
-          match solver with
-          | Core.Lia.Dense -> Core.Variance_estimator.estimate ~jobs ~r ~y ()
-          | Core.Lia.Cgls { tol; max_iter; sample; precond } ->
-              let options =
-                {
-                  Core.Variance_estimator.default_matfree_options with
-                  Core.Variance_estimator.tol;
-                  max_iter;
-                  sample;
-                  mf_precond = precond;
-                }
-              in
-              let v, _, stats =
-                Core.Variance_estimator.estimate_matfree_ess ~options ~jobs ~r
-                  ~y ()
-              in
-              Obs.Logger.info log "matrix-free phase 1 converged"
-                ~fields:
-                  [
-                    ( "iterations",
-                      Obs.Field.Int stats.Linalg.Conjugate_gradient.iterations );
-                    ( "relative_residual",
-                      Obs.Field.Float
-                        stats.Linalg.Conjugate_gradient.relative_residual );
-                  ];
-              v
-        in
+        let variances, _ = Core.Lia.learn ~solver ~jobs ~r ~y () in
         Obs.Logger.info log "learned variances"
           ~fields:[ ("snapshots", Obs.Field.Int (Matrix.rows y)) ];
-        let backend =
-          match solver with
-          | Core.Lia.Dense -> Core.Plan.Dense_qr
-          | Core.Lia.Cgls { tol; max_iter; precond; _ } ->
-              (* only the hierarchical preconditioner carries over to the
-                 phase-2 system (mirrors Lia's backend translation) *)
-              let precond =
-                match precond with
-                | Core.Variance_estimator.Pc_block_jacobi _ as p -> p
-                | _ -> Core.Variance_estimator.Pc_none
-              in
-              Core.Plan.Cgls { tol; max_iter; precond }
+        let plan =
+          Core.Lia.Plan.make ~jobs ~backend:(Core.Lia.plan_backend solver) ~r
+            ~variances ()
         in
-        let plan = Core.Lia.Plan.make ~jobs ~backend ~r ~variances () in
         Obs.Logger.info log "built inference plan"
           ~fields:
             [
@@ -600,8 +567,6 @@ let infer_cmd =
         let ys = Netsim.Trace_io.load file in
         if Matrix.cols ys <> Sparse.rows r then
           failwith "snapshot width does not match the testbed's path count";
-        if warm_start && backend = Core.Plan.Dense_qr then
-          failwith "--warm-start requires --solver cgls";
         let results = Core.Lia.Plan.solve_batch ~jobs ~warm_start plan ys in
         Obs.Logger.info log "served snapshot batch"
           ~fields:[ ("snapshots", Obs.Field.Int (Array.length results)) ];

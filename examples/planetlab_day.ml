@@ -42,7 +42,7 @@ let () =
   (* Learn variances once over the first m snapshots, then diagnose the
      remaining snapshots with them. *)
   let y_learn = Matrix.init m (Sparse.rows r) (fun l i -> Matrix.get run.Simulator.y l i) in
-  let variances = Core.Variance_estimator.estimate ~r ~y:y_learn () in
+  let variances, _ = Core.Lia.learn ~r ~y:y_learn () in
 
   Printf.printf "\n-- cross-validation (eq. 11, epsilon = 0.005) --\n";
   let target = run.Simulator.snapshots.(m) in

@@ -6,8 +6,8 @@
     full column rank, solves [Y = R* X*] on the target snapshot, and
     assigns transmission rate 1 (loss 0) to the eliminated links.
 
-    Both entry points are thin wrappers over {!Plan}: they build a
-    single-use inference plan and solve one measurement through it. A
+    Both entry points run Phase 1 through {!learn}, then build a
+    single-use {!Plan} and solve one measurement through it. A
     serving loop that diagnoses many snapshots against the same routing
     matrix and variances should call [Plan.make] once and amortize the
     factorization across [Plan.solve] / [Plan.solve_batch] calls. *)
@@ -26,18 +26,18 @@ type result = Plan.result = {
   removed : int array;  (** columns approximated as loss-free *)
 }
 
-(** How both phases solve their linear systems. *)
+(** How both phases solve their linear systems. {!learn} and
+    {!plan_backend} are the one place this choice is translated into a
+    Phase-1 algorithm and a Phase-2 {!Plan.backend}. *)
 type solver =
   | Dense
-      (** the historical path: streaming normal equations (or the
-          [?estimator] method) for Phase 1, dense Householder QR for
-          Phase 2. Exact, and fastest while the dense panels fit. *)
+      (** the historical path: streaming normal equations
+          ({!Variance_estimator.estimate_streaming_ess}) for Phase 1,
+          dense Householder QR for Phase 2. Exact, and fastest while the
+          dense panels fit. *)
   | Cgls of {
       tol : float;  (** CGLS relative tolerance (1e-10 in {!default_cgls}) *)
       max_iter : int option;  (** [None] = the CGLS default cap *)
-      sample : (float * int) option;
-          (** optional [(fraction, seed)] row-sampling sketch for
-              Phase 1 ({!Variance_estimator.matfree_options.sample}) *)
       precond : Variance_estimator.precond_spec;
           (** preconditioner for the Phase-1 augmented solve:
               [Pc_jacobi] (the {!default_cgls} choice — bit-for-bit the
@@ -49,18 +49,40 @@ type solver =
               raw CGLS. *)
     }
       (** matrix-free: Phase 1 runs preconditioned CGLS against the
-          implicit augmented operator ({!Augmented.matfree}), Phase 2
-          solves through the sparse [R*] ({!Plan.backend}). Memory stays
+          implicit augmented operator
+          ({!Variance_estimator.estimate_matfree_ess}), Phase 2 solves
+          through the sparse [R*] ({!Plan.backend}). Memory stays
           O(non-zeros + vectors) — the only path that scales past the
           n_p² wall — and agrees with [Dense] to solver tolerance on
           full-rank systems. *)
 
 val default_cgls : solver
-(** [Cgls { tol = 1e-10; max_iter = None; sample = None;
-    precond = Pc_jacobi }]. *)
+(** [Cgls { tol = 1e-10; max_iter = None; precond = Pc_jacobi }]. *)
+
+val learn :
+  ?solver:solver ->
+  ?jobs:int ->
+  ?min_pair_samples:int ->
+  r:Linalg.Sparse.t ->
+  y:Linalg.Matrix.t ->
+  unit ->
+  Linalg.Vector.t * Variance_estimator.ess
+(** Phase 1: the link variances learnt from the [m × n_p] snapshot
+    matrix [y], with the effective-sample-size report. [solver] (default
+    [Dense]) picks the algorithm; negative sample covariances are
+    dropped and the variances clamped at 0 under both. Pairs with fewer
+    than [min_pair_samples] (default 2) overlapping snapshots are
+    excluded. Raises [Invalid_argument] as the estimator it dispatches
+    to. Bit-for-bit identical for every [jobs] value. *)
+
+val plan_backend : solver -> Plan.backend
+(** Phase 2: the plan backend matching [solver]. [Dense] maps to
+    [Plan.Dense_qr]; [Cgls] to [Plan.Cgls] with the same tolerance and
+    cap, keeping the preconditioner only when it is block-Jacobi
+    ([Pc_jacobi] preconditions Phase 1 only, so Phase 2 then runs raw
+    CGLS). *)
 
 val infer :
-  ?estimator:Variance_estimator.options ->
   ?solver:solver ->
   ?jobs:int ->
   r:Linalg.Sparse.t ->
@@ -71,10 +93,9 @@ val infer :
 (** [infer ~r ~y_learn ~y_now ()]: [y_learn] is the [m × n_p] matrix of
     log path transmission rates of the learning snapshots; [y_now] the
     log measurement of the snapshot to diagnose. Raises
-    [Invalid_argument] on dimension mismatches. [solver] (default
-    [Dense]) picks the linear-algebra path; under [Cgls] the
-    [?estimator]'s [drop_negative]/[clamp] toggles are honored and its
-    [method_] is ignored. [jobs] (default
+    [Invalid_argument] on dimension mismatches, before any work is
+    done. [solver] (default [Dense]) picks the linear-algebra path of
+    both phases ({!learn}, {!plan_backend}). [jobs] (default
     [Parallel.Pool.default_jobs ()]) runs Phase 1's covariance and
     normal-equation kernels and Phase 2's QR on a domain pool; the
     inferred rates are bit-for-bit independent of its value. *)

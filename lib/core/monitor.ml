@@ -125,7 +125,10 @@ let variances t =
         ~args:[ ("window", Obs.Field.Int (size t)) ]
         Obs.Trace.default "monitor.relearn"
       @@ fun () ->
-      let v = Variance_estimator.estimate_streaming ~r:t.r ~y:(window_matrix t) () in
+      let v =
+        fst
+          (Variance_estimator.estimate_streaming_ess ~r:t.r ~y:(window_matrix t) ())
+      in
       t.cached_variances <- Some v;
       v
 

@@ -77,6 +77,6 @@ let estimate_means t ~loads =
   (* the dual reuse: links play the role of paths, flows the role of
      links, and flow variances (= Poisson means) come out of the same
      streaming second-moment solver *)
-  Variance_estimator.estimate_streaming ~r:t.routes ~y:loads ()
+  fst (Variance_estimator.estimate_streaming_ess ~r:t.routes ~y:loads ())
 
 let identifiable t = Identifiability.is_identifiable t.routes

@@ -1,5 +1,4 @@
 module Sparse = Linalg.Sparse
-module Qr = Linalg.Qr
 
 let m_phase1 =
   Obs.Metrics.histogram Obs.Metrics.default
@@ -25,10 +24,6 @@ let m_cgls_iters =
     ~help:"CGLS iterations run by the matrix-free phase-1 solver"
     "lia_cgls_iterations"
 
-type method_ = Normal_equations | Dense_qr
-
-type options = { method_ : method_; drop_negative : bool; clamp : bool }
-
 type ess = { pairs_total : int; pairs_used : int; samples_min : int }
 
 type precond_spec = Pc_none | Pc_jacobi | Pc_block_jacobi of int array array
@@ -53,28 +48,6 @@ let default_matfree_options =
     sample = None;
     mf_precond = Pc_jacobi;
   }
-
-let default_options =
-  { method_ = Normal_equations; drop_negative = true; clamp = true }
-
-let solve ?(options = default_options) ?jobs ~a ~sigma_star () =
-  if Array.length sigma_star <> Sparse.rows a then
-    invalid_arg "Variance_estimator.solve: rhs length mismatch";
-  let a, rhs =
-    if options.drop_negative then begin
-      let keep = ref [] in
-      Array.iteri (fun k s -> if s >= 0. then keep := k :: !keep) sigma_star;
-      let idx = Array.of_list (List.rev !keep) in
-      (Sparse.select_rows a idx, Array.map (fun k -> sigma_star.(k)) idx)
-    end
-    else (a, sigma_star)
-  in
-  let v =
-    match options.method_ with
-    | Normal_equations -> Sparse.least_squares ?jobs a rhs
-    | Dense_qr -> Qr.solve (Sparse.to_dense a) rhs
-  in
-  if options.clamp then Array.map (fun x -> Float.max 0. x) v else v
 
 (* Centered measurement columns, one array per path, for cheap pair
    covariances. Missing measurements (NaN) survive centering as NaN and
@@ -235,11 +208,6 @@ let estimate_streaming_ess ?jobs ?(drop_negative = true) ?(clamp = true)
   Obs.Metrics.add m_pairs_skipped pairs_skipped;
   Obs.Metrics.set g_samples_min (float_of_int ess.samples_min);
   (v, ess)
-
-let estimate_streaming ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y () =
-  fst
-    (estimate_streaming_ess ?jobs ?drop_negative ?clamp ?min_pair_samples ~r ~y
-       ())
 
 let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
   let np = Sparse.rows r and nc = Sparse.cols r in
@@ -416,14 +384,11 @@ let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
   in
   Obs.Metrics.add m_pairs_skipped pairs_skipped;
   Obs.Metrics.set g_samples_min (float_of_int ess.samples_min);
+  Obs.Logger.info Obs.Logger.default "matrix-free phase 1 converged"
+    ~fields:
+      [
+        ("iterations", Obs.Field.Int stats.Linalg.Conjugate_gradient.iterations);
+        ( "relative_residual",
+          Obs.Field.Float stats.Linalg.Conjugate_gradient.relative_residual );
+      ];
   (v, ess, stats)
-
-let estimate ?(options = default_options) ?jobs ~r ~y () =
-  match options.method_ with
-  | Normal_equations ->
-      estimate_streaming ?jobs ~drop_negative:options.drop_negative
-        ~clamp:options.clamp ~r ~y ()
-  | Dense_qr ->
-      let a = Augmented.build ?jobs r in
-      let sigma_star = Covariance.sigma_star ?jobs y in
-      solve ~options ?jobs ~a ~sigma_star ()

@@ -1,51 +1,27 @@
-(** Conjugate gradient for symmetric positive-definite systems.
+(** The solve statistics and telemetry hooks shared by the iterative
+    solvers.
 
-    An iterative alternative to {!Cholesky} for the normal equations
-    [AᵀA v = AᵀΣ*]: O(n²) per iteration with early termination, which
-    wins when the system is large and well-conditioned (the augmented
-    Gram matrices of dense measurement campaigns are). Exposed both as a
-    dense-matrix solve and as a matrix-free variant taking the
-    matrix-vector product, so callers can keep [AᵀA] implicit. For
-    least-squares systems that should never be squared into a Gram
-    matrix at all, see {!Lsqr}. *)
+    The conjugate-gradient recurrence runs inside {!Lsqr.cgls}, which
+    applies it to the normal equations implicitly; this module holds no
+    solve of its own. It keeps what {!Lsqr} and [Core.Plan] share: the
+    {!stats} record every iterative solve returns, and the probes that
+    feed the solver histograms, the flight recorder and the convergence
+    stream. It stays a module of its own so the [stats] field path and
+    the metrics it registers ([lia_solver_nonconverged_total],
+    [lia_cgls_relres], [lia_cgls_iter_seconds]) keep one home. *)
 
 type stats = {
   iterations : int;
-  residual_norm : float;  (** final [‖b − M x‖₂] *)
+  residual_norm : float;  (** final residual norm ({!Lsqr.stats} says which) *)
   relative_residual : float;
-      (** [residual_norm / ‖b‖₂] ([0.] when [b = 0]) — compare against
-          the [tol] the solve was asked for *)
+      (** [residual_norm] over the solver's reference norm ([0.] when
+          that is 0) — compare against the [tol] the solve was asked for *)
   converged : bool;
-      (** whether the solve reached [tol] before hitting [max_iter] (or
-          stalling on a non-SPD direction). A [false] here has already
-          been counted in the [lia_solver_nonconverged_total] metric and
-          logged as a warning; callers decide whether to degrade or
-          refuse. *)
+      (** whether the solve reached [tol] before hitting [max_iter] or
+          stalling. A [false] here has already been counted in the
+          [lia_solver_nonconverged_total] metric and logged as a warning;
+          callers decide whether to degrade or refuse. *)
 }
-
-val solve :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?context:(string * Obs.Field.t) list ->
-  Matrix.t ->
-  Vector.t ->
-  Vector.t * stats
-(** [solve m b] for SPD [m]. Stops when the residual 2-norm falls below
-    [tol * norm b] (default [tol = 1e-10]) or after [max_iter] iterations
-    (default: dimension of the system). Raises [Invalid_argument] on
-    non-square or mismatched inputs. [context] labels the solve's
-    telemetry (see {!note_iteration}); it never affects the solution. *)
-
-val solve_matfree :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?context:(string * Obs.Field.t) list ->
-  dim:int ->
-  mul:(Vector.t -> Vector.t) ->
-  Vector.t ->
-  Vector.t * stats
-(** Matrix-free variant: [mul x] must compute [M x] for the implicit SPD
-    matrix [M]. *)
 
 (** {2 Shared telemetry hooks}
 

@@ -82,7 +82,7 @@ let cgls ?(tol = 1e-10) ?max_iter ?x0 ?precond ?(context = []) op b =
   in
   let stats_of ~iterations ~residual_norm ~converged =
     (* guard the zero-norm reference: 0/0 must read as "already there",
-       never as NaN (pinned by test_linalg's zero-rhs cases) *)
+       never as NaN (pinned by test_solver's zero-rhs case) *)
     let relative_residual =
       if ref_norm > 0. then residual_norm /. ref_norm else 0.
     in

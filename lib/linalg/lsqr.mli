@@ -6,7 +6,7 @@
     augmented system (Definition 1): the matrix has n_p(n_p+1)/2 rows —
     5·10⁷ at 10⁴ paths — so materializing it (or its Gram matrix, or a
     dense QR) stops being an option long before the products do. CGLS
-    runs the {!Conjugate_gradient} recurrence on the normal equations
+    runs the conjugate-gradient recurrence on the normal equations
     implicitly, with the well-known stabilized form that applies [A] and
     [Aᵀ] once each per iteration and never squares the conditioning.
 

@@ -63,6 +63,42 @@ let random_instance seed =
   let y = Matrix.init (5 + (seed mod 7)) np (fun _ _ -> -.Rng.uniform rng 0. 0.5) in
   (r, variances, y)
 
+(* Learning snapshots whose sample covariance is exactly
+   [R diag(v) Rᵀ] (Theorem 1's exact-covariance premise): m = n_c + 1
+   rows, the link columns are the Helmert contrasts — centered and
+   orthonormal — scaled by sqrt((m-1) v_e), and path columns sum their
+   links. *)
+let exact_campaign r v =
+  let nc = Sparse.cols r in
+  let m = nc + 1 in
+  let x =
+    Matrix.init m nc (fun l e ->
+        let k = e + 1 in
+        let h =
+          if l < k then 1. else if l = k then -.float_of_int k else 0.
+        in
+        h /. sqrt (float_of_int (k * (k + 1)))
+        *. sqrt (float_of_int (m - 1) *. v.(e)))
+  in
+  Matrix.init m (Sparse.rows r) (fun l i ->
+      Array.fold_left (fun acc e -> acc +. Matrix.get x l e) 0. (Sparse.row r i))
+
+(* The dense-QR oracle of Phase 1: Householder QR of the materialized
+   augmented matrix A (Definition 1) — the paper's own solve, which the
+   production estimators never form — against the flattened covariances
+   [sigma_star] (eq. 7). Under [drop_negative] (default true) the rows
+   with a negative covariance are filtered first, as the estimators do;
+   the solution is left unclamped. *)
+let dense_qr_oracle ?(drop_negative = true) r sigma_star =
+  let keep =
+    Array.of_list
+      (List.filter
+         (fun k -> (not drop_negative) || sigma_star.(k) >= 0.)
+         (List.init (Array.length sigma_star) Fun.id))
+  in
+  let a = Sparse.select_rows (Core.Augmented.build r) keep in
+  Linalg.Qr.solve (Sparse.to_dense a) (Array.map (fun k -> sigma_star.(k)) keep)
+
 (* Random well-conditioned dense tall matrix for QR-level properties. *)
 let random_dense seed =
   let rng = Rng.create seed in

@@ -108,9 +108,7 @@ let test_of_sigma_matrix () =
 let exact_recovery r v_true =
   let rd = Sparse.to_dense r in
   let sigma = Matrix.mul (Matrix.mul rd (Matrix.diag v_true)) (Matrix.transpose rd) in
-  let sigma_star = Covariance.of_sigma_matrix sigma in
-  let a = Augmented.build r in
-  VE.solve ~a ~sigma_star ()
+  Generators.dense_qr_oracle r (Covariance.of_sigma_matrix sigma)
 
 let test_exact_recovery_fig1 () =
   let v_true = [| 0.01; 0.002; 0.005; 0.0001; 0.03 |] in
@@ -147,50 +145,87 @@ let test_mean_loss_rates_not_identifiable () =
   Alcotest.(check int) "A full rank" 5
     (Qr.matrix_rank (Sparse.to_dense (Augmented.build r_fig1)))
 
-let test_drop_negative_rows () =
-  (* A consistent system plus one corrupted negative equation: dropping it
-     restores the solution; keeping it perturbs the fit. *)
-  let v_true = [| 0.01; 0.002; 0.005; 0.0001; 0.03 |] in
-  let rd = Sparse.to_dense r_fig1 in
-  let sigma = Matrix.mul (Matrix.mul rd (Matrix.diag v_true)) (Matrix.transpose rd) in
-  let sigma_star = Covariance.of_sigma_matrix sigma in
-  sigma_star.(1) <- -0.5;
-  let a = Augmented.build r_fig1 in
-  let dropped = VE.solve ~a ~sigma_star () in
-  let kept =
-    VE.solve ~options:{ VE.default_options with VE.drop_negative = false } ~a
-      ~sigma_star ()
-  in
-  Alcotest.(check bool) "dropping recovers truth" true
-    (Vector.approx_equal ~tol:1e-9 dropped v_true);
-  Alcotest.(check bool) "keeping is perturbed" false
-    (Vector.approx_equal ~tol:1e-3 kept v_true)
+(* ‖a − b‖∞ within [rtol] of ‖b‖∞ *)
+let rel_close ~rtol a b =
+  Array.length a = Array.length b
+  && begin
+       let scale = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. b in
+       Array.for_all2 (fun x y -> Float.abs (x -. y) <= rtol *. scale) a b
+     end
 
-let test_methods_agree () =
+(* A sampled campaign: a 60-node tree, 30 llrd1 snapshots. Its Σ̂* has
+   negative entries on linked pairs, and the unclamped solution has
+   negative components, so both toggles really act. *)
+let sampled_campaign () =
   let rng = Rng.create 17 in
   let tb = Topology.Tree_gen.generate rng ~nodes:60 ~max_branching:5 () in
-  let red = Topology.Testbed.routing tb in
-  let r = red.Topology.Routing.matrix in
+  let r = (Topology.Testbed.routing tb).Topology.Routing.matrix in
   let config = Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1 in
   let run = Netsim.Simulator.run rng config r ~count:30 in
-  let v_ne =
-    VE.estimate ~options:{ VE.default_options with VE.method_ = VE.Normal_equations }
-      ~r ~y:run.Netsim.Simulator.y ()
+  (r, run.Netsim.Simulator.y)
+
+let test_drop_negative_rows () =
+  let r, y = sampled_campaign () in
+  let sigma_star = Covariance.sigma_star y in
+  let a = Augmented.build r in
+  Alcotest.(check bool) "a linked pair has a negative sample covariance" true
+    (Array.exists
+       (fun k -> sigma_star.(k) < 0. && Array.length (Sparse.row a k) > 0)
+       (Array.init (Array.length sigma_star) Fun.id));
+  let estimate drop_negative =
+    fst (VE.estimate_streaming_ess ~drop_negative ~clamp:false ~r ~y ())
   in
-  let v_qr =
-    VE.estimate ~options:{ VE.default_options with VE.method_ = VE.Dense_qr } ~r
-      ~y:run.Netsim.Simulator.y ()
+  List.iter
+    (fun drop_negative ->
+      Alcotest.(check bool)
+        (Printf.sprintf "drop_negative = %b matches the dense-QR oracle"
+           drop_negative)
+        true
+        (rel_close ~rtol:1e-8 (estimate drop_negative)
+           (Generators.dense_qr_oracle ~drop_negative r sigma_star)))
+    [ true; false ];
+  Alcotest.(check bool) "the rule changes the fit" false
+    (rel_close ~rtol:1e-3 (estimate true) (estimate false))
+
+let test_methods_agree () =
+  (* both production solvers and the dense-QR oracle, default toggles *)
+  let r, y = sampled_campaign () in
+  let oracle =
+    Array.map (Float.max 0.)
+      (Generators.dense_qr_oracle r (Covariance.sigma_star y))
+  in
+  let v_ne, _ = VE.estimate_streaming_ess ~r ~y () in
+  let v_mf, _, _ =
+    VE.estimate_matfree_ess
+      ~options:{ VE.default_matfree_options with VE.tol = 1e-14 }
+      ~r ~y ()
   in
   Alcotest.(check bool) "normal equations = dense QR" true
-    (Vector.approx_equal ~tol:1e-5 v_ne v_qr)
+    (rel_close ~rtol:1e-8 v_ne oracle);
+  Alcotest.(check bool) "cgls = dense QR" true (rel_close ~rtol:1e-6 v_mf oracle)
 
 let test_clamp_option () =
-  (* negative solution components are clamped to zero by default *)
-  let r = Sparse.create ~cols:1 [| [| 0 |] |] in
-  let a = Augmented.build r in
-  let v = VE.solve ~a ~sigma_star:[| -1. |] ~options:
-      { VE.default_options with VE.drop_negative = false } () in
-  close "clamped at zero" 0. v.(0)
+  (* clamping is exactly [Float.max 0.] of the unclamped solution, bit
+     for bit, under both Phase-1 solvers *)
+  let r, y = sampled_campaign () in
+  let clamp_of v = Array.map (Float.max 0.) v in
+  let ne clamp = fst (VE.estimate_streaming_ess ~clamp ~r ~y ()) in
+  let mf mf_clamp =
+    let v, _, _ =
+      VE.estimate_matfree_ess
+        ~options:{ VE.default_matfree_options with VE.mf_clamp } ~r ~y ()
+    in
+    v
+  in
+  List.iter
+    (fun (name, solve) ->
+      let raw = solve false in
+      Alcotest.(check bool) (name ^ ": unclamped has a negative component")
+        true
+        (Array.exists (fun x -> x < 0.) raw);
+      Alcotest.(check bool) (name ^ ": clamped = max 0 of unclamped") true
+        (Generators.vec_bits_equal (clamp_of raw) (solve true)))
+    [ ("normal equations", ne); ("cgls", mf) ]
 
 (* A Figure-2-style aggregation: beacons B1 and B2 each probe D1, D2, D3
    through a shared core (B1 -> r, B2 -> s, r <-> s). Like the paper's
@@ -328,7 +363,7 @@ let test_lia_transmission_clamped () =
 
 let test_lia_with_variances_reuse () =
   let r, y_learn, target = lia_tree_setup 43 in
-  let v = VE.estimate ~r ~y:y_learn () in
+  let v, _ = Lia.learn ~r ~y:y_learn () in
   let a = Lia.infer_with_variances ~r ~variances:v ~y_now:target.Netsim.Snapshot.y in
   let b = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   Alcotest.(check bool) "same result" true
@@ -340,6 +375,23 @@ let test_lia_dimension_checks () =
     (Invalid_argument "Lia: measurement length mismatch") (fun () ->
       ignore
         (Lia.infer ~r ~y_learn ~y_now:[| 0. |] ()))
+
+(* a wrong-length target is rejected before Phase 1 spends any work *)
+let test_lia_target_checked_first () =
+  let r, y_learn, _ = lia_tree_setup 47 in
+  let reg = Obs.Metrics.default in
+  let pairs = Obs.Metrics.counter reg "lia_pairs_total" in
+  Obs.Metrics.enable reg;
+  let before = Obs.Metrics.counter_value pairs in
+  let raised =
+    match Lia.infer ~r ~y_learn ~y_now:[| 0. |] () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let after = Obs.Metrics.counter_value pairs in
+  Obs.Metrics.disable reg;
+  Alcotest.(check bool) "raises" true raised;
+  Alcotest.(check int) "no pair swept" before after
 
 (* --- SCFS ---------------------------------------------------------------------- *)
 
@@ -568,6 +620,38 @@ let prop_theorem1_meshes =
       let v = exact_recovery r v_true in
       Vector.approx_equal ~tol:1e-7 v v_true)
 
+(* Theorem 1 on the production path: from snapshots whose sample
+   covariance is exactly R diag(v) Rᵀ, Lia.learn recovers v under both
+   solvers. Worst per-link relative error. *)
+let learn_error ~solver r v =
+  let v_hat, _ = Lia.learn ~solver ~r ~y:(Generators.exact_campaign r v) () in
+  Array.fold_left Float.max 0.
+    (Array.map2 (fun t e -> Float.abs (e -. t) /. t) v v_hat)
+
+let exact_cgls =
+  Lia.Cgls { tol = 1e-14; max_iter = None; precond = VE.Pc_jacobi }
+
+let theorem1_learns r v =
+  List.for_all
+    (fun solver -> learn_error ~solver r v <= 1e-9)
+    [ Lia.Dense; exact_cgls ]
+
+let prop_theorem1_learn =
+  QCheck.Test.make ~count:30
+    ~name:
+      "Theorem 1: Lia.learn recovers v from exact covariances (dense, cgls; \
+       trees and meshes)"
+    Generators.seed_arb
+    (fun seed ->
+      let r, v, _ = Generators.random_instance seed in
+      theorem1_learns r v)
+
+let test_theorem1_learn_figures () =
+  Alcotest.(check bool) "figure 1" true
+    (theorem1_learns r_fig1 [| 0.01; 0.002; 0.005; 0.0001; 0.03 |]);
+  Alcotest.(check bool) "figure 2" true
+    (theorem1_learns r_fig2 [| 2e-3; 1e-4; 3e-3; 5e-4; 7e-4; 1.5e-3; 2e-4 |])
+
 let prop_rank_reduction_partition =
   QCheck.Test.make ~count:30 ~name:"rank reduction: kept ∪ removed partitions columns"
     QCheck.(int_range 10 80)
@@ -586,7 +670,12 @@ let prop_rank_reduction_partition =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_theorem1_trees; prop_theorem1_meshes; prop_rank_reduction_partition ]
+    [
+      prop_theorem1_trees;
+      prop_theorem1_meshes;
+      prop_theorem1_learn;
+      prop_rank_reduction_partition;
+    ]
 
 let () =
   Alcotest.run "core"
@@ -621,6 +710,8 @@ let () =
             test_fig2_rank_and_identifiability;
           Alcotest.test_case "figure 2 exact recovery" `Quick
             test_fig2_exact_recovery;
+          Alcotest.test_case "Theorem 1 via Lia.learn (figures 1, 2)" `Quick
+            test_theorem1_learn_figures;
         ] );
       ( "rank_reduction",
         [
@@ -641,6 +732,8 @@ let () =
           Alcotest.test_case "transmission clamped" `Slow test_lia_transmission_clamped;
           Alcotest.test_case "variance reuse" `Slow test_lia_with_variances_reuse;
           Alcotest.test_case "dimension checks" `Quick test_lia_dimension_checks;
+          Alcotest.test_case "target length checked before phase 1" `Quick
+            test_lia_target_checked_first;
         ] );
       ( "scfs",
         [

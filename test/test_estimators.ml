@@ -95,11 +95,15 @@ let test_streaming_equals_explicit_a () =
   let config = Netsim.Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated in
   let run = Netsim.Simulator.run rng config r ~count:25 in
   let y = run.Netsim.Simulator.y in
-  let streaming = VE.estimate_streaming ~r ~y () in
-  (* explicit A + normal equations, same drop-negative convention *)
-  let a = Core.Augmented.build r in
-  let sigma = Core.Covariance.sigma_star y in
-  let explicit = VE.solve ~a ~sigma_star:sigma () in
+  (* explicit A through the dense-QR oracle. Every row is kept: on this
+     campaign the drop-negative rule costs A its full column rank, and
+     the least-squares minimizer is then no longer unique. *)
+  let streaming, _ = VE.estimate_streaming_ess ~drop_negative:false ~r ~y () in
+  let explicit =
+    Array.map (Float.max 0.)
+      (Generators.dense_qr_oracle ~drop_negative:false r
+         (Core.Covariance.sigma_star y))
+  in
   Alcotest.(check bool) "same solution" true
     (Vector.approx_equal ~tol:1e-6 streaming explicit)
 

@@ -198,40 +198,34 @@ let test_cholesky_log_det () =
   let f = Cholesky.factorize m in
   check_floatish "log det" (log 36.) (Cholesky.log_det f)
 
-(* --- Conjugate gradient --------------------------------------------------- *)
+(* --- Shared iterative-solver telemetry (Conjugate_gradient) ------------- *)
 
-let test_cg_solves_spd () =
-  let m = Matrix.of_arrays [| [| 4.; 1. |]; [| 1.; 3. |] |] in
-  let b = Vector.of_list [ 1.; 2. ] in
-  let x, stats = Conjugate_gradient.solve m b in
-  let r = Vector.sub (Matrix.mul_vec m x) b in
-  Alcotest.(check bool) "residual small" true (Vector.norm_inf r < 1e-8);
-  Alcotest.(check bool) "few iterations" true
-    (stats.Conjugate_gradient.iterations <= 2)
+let test_cg_solve_ids_increase () =
+  let a = Conjugate_gradient.new_solve_id () in
+  let b = Conjugate_gradient.new_solve_id () in
+  Alcotest.(check bool) "fresh ids increase" true (a >= 1 && b > a)
 
-let test_cg_matches_cholesky () =
-  let a = Matrix.of_arrays [| [| 1.; 2.; 0. |]; [| 0.; 1.; 1. |]; [| 3.; 0.; 1. |];
-                              [| 1.; 1.; 1. |] |] in
-  let spd = Matrix.add (Matrix.gram a) (Matrix.identity 3) in
-  let b = Vector.of_list [ 3.; -1.; 2. ] in
-  let x_cg, _ = Conjugate_gradient.solve spd b in
-  let x_ch = Cholesky.solve spd b in
-  Alcotest.(check bool) "agree" true (Vector.approx_equal ~tol:1e-7 x_cg x_ch)
+let test_cg_instrumented_follows_metrics () =
+  let reg = Obs.Metrics.default in
+  let was = Obs.Metrics.enabled reg in
+  Obs.Metrics.enable reg;
+  let on = Conjugate_gradient.instrumented () in
+  Obs.Metrics.disable reg;
+  let off = Conjugate_gradient.instrumented () in
+  if was then Obs.Metrics.enable reg;
+  Alcotest.(check bool) "on with metrics" true on;
+  Alcotest.(check bool) "off with every sink off" false off
 
-let test_cg_zero_rhs () =
-  let m = Matrix.identity 3 in
-  let x, stats = Conjugate_gradient.solve m (Vector.zeros 3) in
-  Alcotest.(check bool) "zero solution" true (Vector.approx_equal x (Vector.zeros 3));
-  Alcotest.(check int) "no iterations" 0 stats.Conjugate_gradient.iterations
-
-let test_cg_matfree () =
-  (* implicit diagonal matrix *)
-  let d = [| 2.; 5.; 10. |] in
-  let mul x = Vector.hadamard d x in
-  let b = Vector.of_list [ 2.; 10.; 30. ] in
-  let x, _ = Conjugate_gradient.solve_matfree ~dim:3 ~mul b in
-  Alcotest.(check bool) "diagonal solve" true
-    (Vector.approx_equal ~tol:1e-8 x (Vector.of_list [ 1.; 2.; 3. ]))
+let test_cg_nonconvergence_counted () =
+  let reg = Obs.Metrics.default in
+  let c = Obs.Metrics.counter reg "lia_solver_nonconverged_total" in
+  Obs.Metrics.enable reg;
+  let before = Obs.Metrics.counter_value c in
+  Conjugate_gradient.note_nonconvergence ~solver:"cgls" ~iterations:3
+    ~relative_residual:0.5;
+  let after = Obs.Metrics.counter_value c in
+  Obs.Metrics.disable reg;
+  Alcotest.(check int) "one more non-converged solve" (before + 1) after
 
 (* --- Sparse ------------------------------------------------------------- *)
 
@@ -739,10 +733,11 @@ let () =
         ] );
       ( "conjugate_gradient",
         [
-          Alcotest.test_case "solves SPD" `Quick test_cg_solves_spd;
-          Alcotest.test_case "matches cholesky" `Quick test_cg_matches_cholesky;
-          Alcotest.test_case "zero rhs" `Quick test_cg_zero_rhs;
-          Alcotest.test_case "matrix free" `Quick test_cg_matfree;
+          Alcotest.test_case "solve ids increase" `Quick test_cg_solve_ids_increase;
+          Alcotest.test_case "instrumented follows metrics" `Quick
+            test_cg_instrumented_follows_metrics;
+          Alcotest.test_case "non-convergence counted" `Quick
+            test_cg_nonconvergence_counted;
         ] );
       ( "sparse",
         [

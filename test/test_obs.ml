@@ -325,7 +325,6 @@ let prop_inference_bits_unchanged_by_recorder =
           {
             tol = 1e-10;
             max_iter = None;
-            sample = None;
             precond = Core.Variance_estimator.Pc_jacobi;
           }
       in
@@ -355,7 +354,6 @@ let prop_convergence_jsonl_well_formed =
           {
             tol = 1e-10;
             max_iter = None;
-            sample = None;
             precond = Core.Variance_estimator.Pc_none;
           }
       in
@@ -433,8 +431,8 @@ let test_metric_names_conform () =
   touch Core.Plan.make;
   touch Core.Covariance.sigma_star;
   touch Core.Augmented.build;
-  touch Core.Variance_estimator.estimate;
-  touch Linalg.Conjugate_gradient.solve;
+  touch Core.Variance_estimator.estimate_streaming_ess;
+  touch Linalg.Conjugate_gradient.note_nonconvergence;
   touch Linalg.Cholesky.factorize;
   touch Pool.get;
   let prefixes = [ "lia_"; "pool_"; "plan_" ] in

@@ -375,6 +375,10 @@ let prop_full_sample_is_identity =
 
 (* --- end-to-end: Lia with --solver cgls vs dense ------------------------- *)
 
+(* The full-rank regime under the production toggles: learning
+   snapshots with exact covariances R diag(v) Rᵀ make every linked
+   pair's covariance positive, so the drop-negative rule keeps every row
+   and Theorem 1 gives a unique Phase-1 minimizer. *)
 let prop_infer_cgls_matches_dense =
   QCheck.Test.make ~count:12
     ~name:
@@ -382,19 +386,16 @@ let prop_infer_cgls_matches_dense =
        regime)"
     Generators.seed_arb
     (fun seed ->
-      let r, y_learn, target = Generators.random_tree_trial seed in
-      let estimator =
-        { VE.default_options with VE.drop_negative = false; clamp = false }
-      in
+      let r, _, target = Generators.random_tree_trial seed in
+      let rng = Rng.create seed in
+      let v = Array.init (Sparse.cols r) (fun _ -> Rng.uniform rng 1e-6 1e-2) in
+      let y_learn = Generators.exact_campaign r v in
       let solver =
-        Core.Lia.Cgls { tol = 1e-14; max_iter = None; sample = None; precond = Core.Variance_estimator.Pc_jacobi }
+        Core.Lia.Cgls { tol = 1e-14; max_iter = None; precond = VE.Pc_jacobi }
       in
-      let dense =
-        Core.Lia.infer ~estimator ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
-      in
+      let dense = Core.Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
       let cgls =
-        Core.Lia.infer ~estimator ~solver ~r ~y_learn
-          ~y_now:target.Netsim.Snapshot.y ()
+        Core.Lia.infer ~solver ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
       in
       (* kept is chosen greedily in estimated-variance order, so
          solver-tolerance differences can elect a different (equally
