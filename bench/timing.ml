@@ -214,12 +214,12 @@ let obs_overhead ~reps ~r ~y_learn =
   let t_off = time_best ~reps kernel in
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
-  Obs.Trace.set_sink Obs.Trace.default (Some (Obs.Sink.file Filename.null));
+  Obs.Trace.set_sink (Some (Obs.Sink.file Filename.null));
   (* one warm-up run per configuration so one-time costs (first span's
      formatting path, sink buffers) don't masquerade as per-call overhead *)
   kernel ();
   let t_on = time_best ~reps kernel in
-  Obs.Trace.close Obs.Trace.default;
+  Obs.Trace.close ();
   Obs.Metrics.disable reg;
   Obs.Metrics.reset reg;
   (t_off, t_on)
@@ -250,18 +250,17 @@ let obs2_overhead ~reps ~r ~y_learn =
   in
   Obs.Metrics.disable reg;
   Obs.Recorder.disable Obs.Recorder.default;
-  Obs.Convergence.set_sink Obs.Convergence.default None;
+  Obs.Trace.set_convergence_sink None;
   kernel ();
   let t_off = time_best ~reps kernel in
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
   Obs.Recorder.reset Obs.Recorder.default;
   Obs.Recorder.enable Obs.Recorder.default;
-  Obs.Convergence.set_sink Obs.Convergence.default
-    (Some (Obs.Sink.file Filename.null));
+  Obs.Trace.set_convergence_sink (Some (Obs.Sink.file Filename.null));
   kernel ();
   let t_on = time_best ~reps kernel in
-  Obs.Convergence.set_sink Obs.Convergence.default None;
+  Obs.Trace.set_convergence_sink None;
   Obs.Recorder.disable Obs.Recorder.default;
   Obs.Recorder.reset Obs.Recorder.default;
   Obs.Metrics.disable reg;
@@ -502,7 +501,7 @@ let run_obs_smoke () =
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
   let trace_file = Filename.temp_file "obs_smoke" ".jsonl" in
-  Obs.Trace.set_sink Obs.Trace.default (Some (Obs.Sink.file trace_file));
+  Obs.Trace.set_sink (Some (Obs.Sink.file trace_file));
   let log_sink, log_lines = Obs.Sink.memory () in
   Obs.Logger.set_sink Obs.Logger.default (Some log_sink);
   Obs.Logger.set_level Obs.Logger.default (Some Obs.Logger.Info);
@@ -524,7 +523,7 @@ let run_obs_smoke () =
     ~fields:[ ("hosts", Obs.Field.Int 8) ];
   Obs.Logger.set_level Obs.Logger.default None;
   Obs.Logger.set_sink Obs.Logger.default None;
-  Obs.Trace.close Obs.Trace.default;
+  Obs.Trace.close ();
   Obs.Metrics.disable reg;
   let dump = Obs.Metrics.dump reg in
   let expect_metric name =
@@ -575,7 +574,7 @@ let run_obs2_smoke () =
   Obs.Recorder.reset rcd;
   Obs.Recorder.enable rcd;
   let conv_sink, conv_lines = Obs.Sink.memory () in
-  Obs.Convergence.set_sink Obs.Convergence.default (Some conv_sink);
+  Obs.Trace.set_convergence_sink (Some conv_sink);
   let rng = Nstats.Rng.create 2209 in
   let tb = Topology.Overlay.planetlab_like rng ~hosts:10 () in
   let red = Topology.Testbed.routing tb in
@@ -597,7 +596,7 @@ let run_obs2_smoke () =
   in
   if st.Linalg.Conjugate_gradient.converged then
     failwith "obs2-smoke: expected the starved solve not to converge";
-  Obs.Convergence.set_sink Obs.Convergence.default None;
+  Obs.Trace.set_convergence_sink None;
   let metrics_dump = Obs.Metrics.dump reg in
   Obs.Metrics.disable reg;
   let events = Obs.Recorder.events rcd in

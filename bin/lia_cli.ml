@@ -237,36 +237,33 @@ let line_sink path =
   if path = "-" then Obs.Sink.stderr_lines () else Obs.Sink.file path
 
 (* Install the requested sinks, run, and dump/close on the way out (also
-   on failure, so a crashed serving run still leaves its telemetry). *)
+   on failure, so a crashed serving run still leaves its telemetry).
+   Every output file is opened or created here, before any work, so a bad
+   path fails at once as a data error (exit 2). *)
 let with_obs cfg f =
   Obs.Logger.set_level Obs.Logger.default cfg.log_level;
-  Option.iter
-    (fun path -> Obs.Trace.set_sink Obs.Trace.default (Some (line_sink path)))
-    cfg.trace;
-  Option.iter
-    (fun path ->
-      Obs.Convergence.set_sink Obs.Convergence.default (Some (line_sink path)))
-    cfg.convergence;
+  Obs.Trace.set_sink (Option.map line_sink cfg.trace);
+  Obs.Trace.set_convergence_sink (Option.map line_sink cfg.convergence);
+  let metrics_oc =
+    Option.map (fun path -> if path = "-" then stdout else open_out path) cfg.metrics
+  in
   Option.iter
     (fun path ->
       Obs.Recorder.enable Obs.Recorder.default;
-      if path <> "-" then
-        Obs.Recorder.set_dump_path Obs.Recorder.default (Some path))
+      if path <> "-" then begin
+        close_out (open_out path);
+        Obs.Recorder.set_dump_path Obs.Recorder.default (Some path)
+      end)
     cfg.recorder;
   if cfg.metrics <> None then Obs.Metrics.enable Obs.Metrics.default;
   Fun.protect
     ~finally:(fun () ->
       Option.iter
-        (fun path ->
-          let dump = Obs.Metrics.dump Obs.Metrics.default in
-          (if path = "-" then print_string dump
-           else begin
-             let oc = open_out path in
-             output_string oc dump;
-             close_out oc
-           end);
+        (fun oc ->
+          output_string oc (Obs.Metrics.dump Obs.Metrics.default);
+          if oc != stdout then close_out oc;
           Obs.Metrics.disable Obs.Metrics.default)
-        cfg.metrics;
+        metrics_oc;
       (* "-" has nowhere persistent for an exit dump: write it to stderr
          here instead of registering a dump path *)
       (match cfg.recorder with
@@ -274,8 +271,7 @@ let with_obs cfg f =
           Obs.Recorder.dump Obs.Recorder.default ~reason:"exit"
             (Obs.Sink.stderr_lines ())
       | _ -> ());
-      Obs.Convergence.close Obs.Convergence.default;
-      Obs.Trace.close Obs.Trace.default)
+      Obs.Trace.close ())
     f
 
 let model_conv =

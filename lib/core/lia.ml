@@ -83,7 +83,7 @@ let infer ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
         ("links", Obs.Field.Int (Sparse.cols r));
         ("m", Obs.Field.Int (Matrix.rows y_learn));
       ]
-    Obs.Trace.default "lia.infer"
+    "lia.infer"
   @@ fun () ->
   let variances, _ = learn ~solver ?jobs ~r ~y:y_learn () in
   let backend = plan_backend solver in
@@ -136,22 +136,17 @@ let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
         ("links", Obs.Field.Int (Sparse.cols r));
         ("m", Obs.Field.Int (Matrix.rows y_learn));
       ]
-    Obs.Trace.default "lia.infer_checked"
+    "lia.infer_checked"
   @@ fun () ->
   let finish health result =
     (match health with
     | Clean -> ()
     | Degraded _ -> Obs.Metrics.incr m_degraded
     | Refused _ -> Obs.Metrics.incr m_refused);
-    if Obs.Recorder.enabled Obs.Recorder.default then
-      Obs.Recorder.record Obs.Recorder.default ~kind:"verdict" "lia.verdict"
-        ~fields:
-          [
-            ("health", Obs.Field.Str (health_label health));
-            ("summary", Obs.Field.Str (health_summary health));
-          ];
-    Obs.Trace.instant Obs.Trace.default "lia.verdict"
-      ~args:[ ("health", Obs.Field.Str (health_label health)) ];
+    let label = ("health", Obs.Field.Str (health_label health)) in
+    Obs.Trace.emit ~kind:"verdict" "lia.verdict"
+      ~fields:[ label; ("summary", Obs.Field.Str (health_summary health)) ];
+    Obs.Trace.emit ~kind:"instant" "lia.verdict" ~fields:[ label ];
     (* a refusal is terminal for this run: flush the recorder tail now so
        the dump survives even an abrupt exit-3 path *)
     (match health with

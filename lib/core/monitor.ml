@@ -54,7 +54,7 @@ let push t y =
   end;
   if t.cached_variances <> None then begin
     Obs.Metrics.incr m_invalidations;
-    Obs.Trace.instant Obs.Trace.default "monitor.invalidate"
+    Obs.Trace.emit ~kind:"instant" "monitor.invalidate"
   end;
   Obs.Metrics.set g_window_fill (float_of_int (Queue.length t.buffer));
   t.cached_variances <- None
@@ -123,7 +123,7 @@ let variances t =
       Obs.Metrics.incr m_relearns;
       Obs.Trace.with_span
         ~args:[ ("window", Obs.Field.Int (size t)) ]
-        Obs.Trace.default "monitor.relearn"
+        "monitor.relearn"
       @@ fun () ->
       let v =
         fst

@@ -191,7 +191,7 @@ let solve_batch ?jobs ?(warm_start = false) p y =
   let snapshots = Matrix.rows y in
   Obs.Trace.with_span
     ~args:[ ("snapshots", Obs.Field.Int snapshots) ]
-    Obs.Trace.default "plan.solve_batch"
+    "plan.solve_batch"
   @@ fun () ->
   let t0 =
     if Obs.Metrics.enabled Obs.Metrics.default then Obs.Clock.now_ns () else 0L

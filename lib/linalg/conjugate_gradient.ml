@@ -30,28 +30,25 @@ let new_solve_id () = 1 + Atomic.fetch_and_add solve_counter 1
 
 let instrumented () =
   Obs.Metrics.enabled Obs.Metrics.default
-  || Obs.Recorder.enabled Obs.Recorder.default
-  || Obs.Convergence.enabled Obs.Convergence.default
+  || Obs.Trace.enabled ~kind:"solver_iter" ()
 
 let note_iteration ~solver ~solve ~iteration ~relative_residual ~iter_seconds
     ~context =
   Obs.Metrics.observe m_relres relative_residual;
   Obs.Metrics.observe m_iter_seconds iter_seconds;
-  if Obs.Recorder.enabled Obs.Recorder.default then
-    Obs.Recorder.record Obs.Recorder.default ~kind:"solver_iter" solver
+  if Obs.Trace.enabled ~kind:"solver_iter" () then
+    Obs.Trace.emit ~kind:"solver_iter" solver
       ~fields:
         ([
            ("solve", Obs.Field.Int solve);
            ("iteration", Obs.Field.Int iteration);
            ("relres", Obs.Field.Float relative_residual);
          ]
-        @ context);
-  Obs.Convergence.emit Obs.Convergence.default ~solver ~solve ~iteration
-    ~relative_residual ~context
+        @ context)
 
 let note_solve_done ~solver ~solve ~context stats =
-  if Obs.Recorder.enabled Obs.Recorder.default then
-    Obs.Recorder.record Obs.Recorder.default ~kind:"solver_done" solver
+  if Obs.Trace.enabled ~kind:"solver_done" () then
+    Obs.Trace.emit ~kind:"solver_done" solver
       ~fields:
         ([
            ("solve", Obs.Field.Int solve);

@@ -5,8 +5,8 @@
     applies it to the normal equations implicitly; this module holds no
     solve of its own. It keeps what {!Lsqr} and [Core.Plan] share: the
     {!stats} record every iterative solve returns, and the probes that
-    feed the solver histograms, the flight recorder and the convergence
-    stream. It stays a module of its own so the [stats] field path and
+    feed the solver histograms and emit the [solver_iter] /
+    [solver_done] events. It stays a module of its own so the [stats] field path and
     the metrics it registers ([lia_solver_nonconverged_total],
     [lia_cgls_relres], [lia_cgls_iter_seconds]) keep one home. *)
 
@@ -25,15 +25,15 @@ type stats = {
 
 (** {2 Shared telemetry hooks}
 
-    The iterative solvers ({!Lsqr} included) feed three outputs, each
-    behind its own enable check: the [lia_cgls_relres] /
-    [lia_cgls_iter_seconds] histograms, the flight recorder
-    ([solver_iter] / [solver_done] events), and the {!Obs.Convergence}
-    JSONL stream. None of them reads the computation back, so estimates
-    are bit-for-bit identical instrumented or not. *)
+    The iterative solvers ({!Lsqr} included) feed the [lia_cgls_relres] /
+    [lia_cgls_iter_seconds] histograms and emit [solver_iter] /
+    [solver_done] events through {!Obs.Trace.emit}, which the flight
+    recorder keeps and the convergence stream writes as JSONL. Each is
+    behind its own enable check, and none reads the computation back,
+    so estimates are bit-for-bit identical instrumented or not. *)
 
 val instrumented : unit -> bool
-(** Whether any of the three solver-telemetry outputs is enabled —
+(** Whether the solver metrics or any output of [solver_iter] events is on —
     solvers check once per solve and skip per-iteration clock reads and
     probe calls entirely when it is [false]. *)
 
@@ -49,8 +49,8 @@ val note_iteration :
   iter_seconds:float ->
   context:(string * Obs.Field.t) list ->
   unit
-(** Record one solver iteration into histograms, recorder, and the
-    convergence stream. [context] is the caller's solve labels
+(** Record one solver iteration into the histograms and emit it as a
+    [solver_iter] event. [context] is the caller's solve labels
     (["phase"], ["precond"], ["warm"], ...). *)
 
 val note_solve_done :
@@ -59,7 +59,7 @@ val note_solve_done :
   context:(string * Obs.Field.t) list ->
   stats ->
   unit
-(** Record a solve's final stats as a [solver_done] recorder event. *)
+(** Emit a solve's final stats as a [solver_done] event. *)
 
 val note_nonconvergence :
   solver:string -> iterations:int -> relative_residual:float -> unit

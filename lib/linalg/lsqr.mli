@@ -81,8 +81,8 @@ val cgls :
 
     [context] labels the solve's telemetry — per-iteration relative
     residuals go to the [lia_cgls_relres] / [lia_cgls_iter_seconds]
-    histograms, the flight recorder, and the {!Obs.Convergence} stream,
-    tagged with the context fields plus a ["warm"] flag derived from
+    histograms and, as [solver_iter] events through {!Obs.Trace.emit},
+    to the flight recorder and the convergence stream, tagged with the context fields plus a ["warm"] flag derived from
     [x0]. When no telemetry output is enabled the per-iteration probes
     (and their clock reads) are skipped entirely; either way the
     iterates are bit-for-bit unaffected. *)

@@ -1,8 +1,8 @@
 (** Minimal JSON reader for the telemetry this library writes.
 
     Parses RFC 8259 JSON into a plain variant; used by the [report]
-    renderer to read back recorder dumps, convergence streams, and trace
-    events without an external dependency. Numbers are all [float]s
+    renderer to read recorder dumps, convergence streams, and trace
+    events back into one event record without an external dependency. Numbers are all [float]s
     (JSON has only one number type); [\u] escapes decode to UTF-8, but
     surrogate pairs are not recombined — the writers never emit them. *)
 

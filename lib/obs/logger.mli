@@ -22,8 +22,6 @@ type t
 val default : t
 (** The process-wide logger. Starts disabled (level [None]). *)
 
-val create : unit -> t
-
 val set_level : t -> level option -> unit
 
 val level : t -> level option

@@ -76,10 +76,6 @@ val time : histogram -> (unit -> 'a) -> 'a
 
 val counter_value : counter -> int
 
-val gauge_value : gauge -> float
-
-val histogram_buckets : histogram -> float array
-
 val histogram_counts : histogram -> int array
 (** Per-bucket (non-cumulative) counts, the overflow bucket last. *)
 

@@ -1,2 +1,2 @@
 let kernel ?(args = []) ~hist name f =
-  Trace.with_span ~args Trace.default name (fun () -> Metrics.time hist f)
+  Trace.with_span ~args name (fun () -> Metrics.time hist f)

@@ -6,6 +6,6 @@ val kernel :
   string ->
   (unit -> 'a) ->
   'a
-(** [kernel ~hist name f] runs [f] inside a {!Trace.default} span named
+(** [kernel ~hist name f] runs [f] inside a {!Trace.with_span} span named
     [name] and records its duration into [hist] (seconds). With tracing
     and metrics both disabled this costs two branches. *)

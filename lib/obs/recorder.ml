@@ -67,8 +67,6 @@ let disable t = t.on := false
 
 let enabled t = !(t.on)
 
-let capacity t = t.capacity
-
 let dummy =
   { seq = 0; domain = 0; ts_us = 0L; kind = ""; name = ""; fields = [] }
 

@@ -2,12 +2,13 @@
     one ring per domain shard, merged deterministically and dumped as
     JSONL — the post-hoc counterpart to live tracing.
 
-    Where {!Trace} streams every span to a sink as it happens, the
-    recorder keeps only the recent tail (drop-oldest per ring) in
-    memory, and writes it out when something goes wrong: on demand, on a
-    [Refused] health verdict or solver non-convergence (the core layers
-    call {!auto_dump}), and at process exit once a dump path is
-    configured. A failed run nobody was watching thereby explains
+    The library's probes reach it through {!Trace.emit} and
+    {!Trace.with_span}. Where the trace sink streams every span as it
+    happens, the recorder keeps only the recent tail (drop-oldest per
+    ring) in memory, and writes it out when something goes wrong: on
+    demand, on a [Refused] health verdict or solver non-convergence (the
+    core layers call {!auto_dump}), and at process exit once a dump path
+    is configured. A failed run nobody was watching thereby explains
     itself after the fact.
 
     {b Overhead contract.} A probe against a disabled recorder is one
@@ -50,8 +51,6 @@ val disable : t -> unit
 
 val enabled : t -> bool
 
-val capacity : t -> int
-
 val record : t -> ?fields:(string * Field.t) list -> kind:string -> string -> unit
 (** [record t ~kind name] appends one event to the calling domain's
     ring, dropping that ring's oldest event when full. Disabled: one
@@ -83,8 +82,6 @@ val set_dump_path : t -> string option -> unit
     recorder is still enabled — each dump truncates the file, so the
     exit dump supersedes earlier emergency dumps with a superset of
     their events. *)
-
-val dump_path : t -> string option
 
 val auto_dump : t -> reason:string -> unit
 (** Dump to the configured path (truncating), or do nothing when no

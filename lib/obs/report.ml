@@ -4,13 +4,58 @@
    wall/alloc profile, top-N slow spans, a convergence summary table
    with residual tails, and the health verdict with quarantine counts.
 
-   Every section degrades gracefully: inputs are independent and a
-   section renders from whichever input carries its data (spans prefer
-   the recorder, which has allocation attribution; the trace is the
-   fallback). Numbers that vary run-to-run (wall, alloc) are kept in
-   their own columns so tests can select the deterministic ones. *)
+   Each JSONL input is read line by line into one event record (the
+   recorder's own shape), and one [event_into] folds every event into the
+   page data, so a section renders from whichever input carries its
+   data. Numbers that vary run-to-run (wall, alloc) are kept in their own
+   columns so tests can select the deterministic ones. *)
 
-let ( let* ) = Option.bind
+(* typed lookups on one JSON object *)
+let str key j = Option.bind (Json.member key j) Json.to_string_opt
+
+let int key j = Option.bind (Json.member key j) Json.to_int_opt
+
+let num key j = Option.bind (Json.member key j) Json.to_float_opt
+
+let bool key j = Option.bind (Json.member key j) Json.to_bool_opt
+
+(* One telemetry event, whichever file it was read from. [args] is a JSON
+   object: the recorder's fields, a trace span's args plus its dur_us, a
+   whole convergence line, or a dump header's own keys. *)
+type event = { kind : string; name : string; domain : int; args : Json.t }
+
+let of_recorder j =
+  let kind = Option.value ~default:"" (str "kind" j) in
+  Some
+    {
+      kind;
+      name = Option.value ~default:"" (str "name" j);
+      domain = Option.value ~default:0 (int "domain" j);
+      args =
+        (if kind = "recorder_dump" then j
+         else Option.value ~default:(Json.Obj []) (Json.member "args" j));
+    }
+
+(* a trace "X" complete event is a span_end carrying its duration *)
+let of_trace j =
+  match (str "ph" j, num "dur" j) with
+  | Some "X", Some dur ->
+      let args =
+        match Json.member "args" j with Some (Json.Obj kv) -> kv | _ -> []
+      in
+      Some
+        {
+          kind = "span_end";
+          name = Option.value ~default:"" (str "name" j);
+          domain = Option.value ~default:0 (int "tid" j);
+          args = Json.Obj (("dur_us", Json.Num dur) :: args);
+        }
+  | _ -> None
+
+let of_convergence j =
+  Option.map
+    (fun solver -> { kind = "solver_iter"; name = solver; domain = 0; args = j })
+    (str "solver" j)
 
 type span = {
   sp_name : string;
@@ -79,187 +124,64 @@ let solve_row d ~solver ~solve =
       Hashtbl.add d.solves (solver, solve) row;
       row
 
-let context_into row json =
-  (match
-     let* p = Json.member "phase" json in
-     Json.to_string_opt p
-   with
-  | Some p -> row.so_phase <- p
-  | None -> ());
-  (match
-     let* p = Json.member "precond" json in
-     Json.to_string_opt p
-   with
-  | Some p -> row.so_precond <- p
-  | None -> ());
-  match
-    let* w = Json.member "warm" json in
-    Json.to_bool_opt w
-  with
-  | Some w -> row.so_warm <- Some w
-  | None -> ()
-
-let iteration_into d ~solver ~solve json =
-  let row = solve_row d ~solver ~solve in
-  context_into row json;
-  match
-    let* i = Json.member "iteration" json in
-    let* i = Json.to_int_opt i in
-    let* r = Json.member "relres" json in
-    let* r = Json.to_float_opt r in
-    Some (i, r)
-  with
-  | None -> ()
-  | Some (iteration, relres) ->
-      if iteration > row.so_iterations then begin
-        row.so_iterations <- iteration;
-        row.so_relres <- relres
-      end;
-      d.iters <-
-        {
-          it_solver = solver;
-          it_solve = solve;
-          it_iteration = iteration;
-          it_relres = relres;
-        }
-        :: d.iters
-
-(* one recorder-dump line (header or event) *)
-let recorder_line d json =
-  let kind =
-    Option.value ~default:""
-      (let* k = Json.member "kind" json in
-       Json.to_string_opt k)
-  in
-  let name =
-    Option.value ~default:""
-      (let* n = Json.member "name" json in
-       Json.to_string_opt n)
-  in
-  let args = Option.value ~default:(Json.Obj []) (Json.member "args" json) in
-  match kind with
+let event_into d e =
+  let a = e.args in
+  match e.kind with
   | "recorder_dump" ->
-      d.dump_reason <-
-        (let* r = Json.member "reason" json in
-         Json.to_string_opt r);
-      d.dump_dropped <-
-        Option.value ~default:0
-          (let* x = Json.member "dropped" json in
-           Json.to_int_opt x)
+      d.dump_reason <- str "reason" a;
+      d.dump_dropped <- Option.value ~default:0 (int "dropped" a)
   | "span_end" ->
-      let dur =
-        let* x = Json.member "dur_us" args in
-        Json.to_float_opt x
-      in
-      let domain =
-        Option.value ~default:0
-          (let* x = Json.member "domain" json in
-           Json.to_int_opt x)
-      in
-      (match dur with
-      | None -> ()
-      | Some dur_us ->
+      Option.iter
+        (fun dur_us ->
           d.spans <-
             {
-              sp_name = name;
+              sp_name = e.name;
               sp_dur_us = dur_us;
-              sp_alloc_words =
-                (let* x = Json.member "alloc_words" args in
-                 Json.to_float_opt x);
-              sp_domain = domain;
+              sp_alloc_words = num "alloc_words" a;
+              sp_domain = e.domain;
             }
             :: d.spans)
-  | "solver_iter" ->
-      (match
-         let* s = Json.member "solve" args in
-         Json.to_int_opt s
-       with
+        (num "dur_us" a)
+  | ("solver_iter" | "solver_done") as kind -> (
+      match int "solve" a with
       | None -> ()
-      | Some solve -> iteration_into d ~solver:name ~solve args)
-  | "solver_done" -> (
-      match
-        let* s = Json.member "solve" args in
-        Json.to_int_opt s
-      with
-      | None -> ()
-      | Some solve ->
-          let row = solve_row d ~solver:name ~solve in
-          context_into row args;
-          (match
-             let* i = Json.member "iterations" args in
-             Json.to_int_opt i
-           with
-          | Some i -> row.so_iterations <- i
-          | None -> ());
-          (match
-             let* r = Json.member "relres" args in
-             Json.to_float_opt r
-           with
-          | Some r -> row.so_relres <- r
-          | None -> ());
-          row.so_converged <-
-            (let* c = Json.member "converged" args in
-             Json.to_bool_opt c))
+      | Some solve -> (
+          let row = solve_row d ~solver:e.name ~solve in
+          Option.iter (fun p -> row.so_phase <- p) (str "phase" a);
+          Option.iter (fun p -> row.so_precond <- p) (str "precond" a);
+          Option.iter (fun w -> row.so_warm <- Some w) (bool "warm" a);
+          if kind = "solver_done" then begin
+            Option.iter (fun i -> row.so_iterations <- i) (int "iterations" a);
+            Option.iter (fun r -> row.so_relres <- r) (num "relres" a);
+            row.so_converged <- bool "converged" a
+          end
+          else
+            match (int "iteration" a, num "relres" a) with
+            | Some iteration, Some relres ->
+                if iteration > row.so_iterations then begin
+                  row.so_iterations <- iteration;
+                  row.so_relres <- relres
+                end;
+                d.iters <-
+                  {
+                    it_solver = e.name;
+                    it_solve = solve;
+                    it_iteration = iteration;
+                    it_relres = relres;
+                  }
+                  :: d.iters
+            | _ -> ()))
   | "verdict" ->
-      let health =
-        Option.value ~default:"?"
-          (let* h = Json.member "health" args in
-           Json.to_string_opt h)
-      in
-      let summary =
-        Option.value ~default:""
-          (let* s = Json.member "summary" args in
-           Json.to_string_opt s)
-      in
-      d.verdicts <- (health, summary) :: d.verdicts
+      d.verdicts <-
+        ( Option.value ~default:"?" (str "health" a),
+          Option.value ~default:"" (str "summary" a) )
+        :: d.verdicts
   | "quarantine" -> d.quarantine <- d.quarantine + 1
   | _ -> ()
 
-(* trace JSONL: "X" complete events become spans (no alloc attribution) *)
-let trace_line d json =
-  match
-    let* ph = Json.member "ph" json in
-    Json.to_string_opt ph
-  with
-  | Some "X" ->
-      let name =
-        Option.value ~default:""
-          (let* n = Json.member "name" json in
-           Json.to_string_opt n)
-      in
-      (match
-         let* x = Json.member "dur" json in
-         Json.to_float_opt x
-       with
-      | None -> ()
-      | Some dur_us ->
-          d.spans <-
-            {
-              sp_name = name;
-              sp_dur_us = dur_us;
-              sp_alloc_words = None;
-              sp_domain =
-                Option.value ~default:0
-                  (let* x = Json.member "tid" json in
-                   Json.to_int_opt x);
-            }
-            :: d.spans)
-  | _ -> ()
-
-let convergence_line d json =
-  match
-    let* s = Json.member "solver" json in
-    let* solver = Json.to_string_opt s in
-    let* v = Json.member "solve" json in
-    let* solve = Json.to_int_opt v in
-    Some (solver, solve)
-  with
-  | None -> ()
-  | Some (solver, solve) -> iteration_into d ~solver ~solve json
-
 let lines content = String.split_on_char '\n' content
 
-let feed_jsonl d per_line content =
+let feed_jsonl d reader content =
   List.iter
     (fun line ->
       let line = String.trim line in
@@ -270,9 +192,7 @@ let feed_jsonl d per_line content =
         else line
       in
       if String.length line > 0 && line.[0] = '{' then
-        match Json.of_string_opt line with
-        | Some json -> per_line d json
-        | None -> ())
+        Option.iter (event_into d) (Option.bind (Json.of_string_opt line) reader))
     (lines content)
 
 let feed_metrics d content =
@@ -476,9 +396,9 @@ let render_health b d =
 
 let render ?recorder ?trace ?metrics ?convergence ?(top = 5) ?(tail = 8) () =
   let d = fresh () in
-  Option.iter (feed_jsonl d recorder_line) recorder;
-  Option.iter (feed_jsonl d trace_line) trace;
-  Option.iter (feed_jsonl d convergence_line) convergence;
+  Option.iter (feed_jsonl d of_recorder) recorder;
+  Option.iter (feed_jsonl d of_trace) trace;
+  Option.iter (feed_jsonl d of_convergence) convergence;
   Option.iter (feed_metrics d) metrics;
   let b = Buffer.create 4096 in
   (match d.dump_reason with

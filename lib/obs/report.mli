@@ -5,7 +5,8 @@
     four telemetry outputs and returns the formatted page:
 
     - a per-phase wall-time + allocation profile (recorder [span_end]
-      events; trace ["X"] events as the alloc-less fallback),
+      events or trace ["X"] events; a trace without [alloc_words] args
+      shows [-] in the allocation column),
     - the top-N slowest individual spans,
     - a convergence summary table — one row per iterative solve with
       phase/preconditioner/warm context, iteration count, final relative

@@ -1,6 +1,7 @@
-(** Pluggable line-oriented output sinks for the logger and the span
-    tracer. Every sink serializes writes behind an internal mutex, so
-    producers on different pool domains never interleave partial lines. *)
+(** Pluggable line-oriented output sinks for the logger and the two
+    {!Trace} streams (Chrome trace events, convergence lines). Every
+    sink serializes writes behind an internal mutex, so producers on
+    different pool domains never interleave partial lines. *)
 
 type t
 
@@ -18,8 +19,8 @@ val of_channel : ?close_channel:bool -> out_channel -> t
 
 val file : string -> t
 (** Truncate-and-write sink on a fresh file (JSONL conventions are the
-    caller's: the tracer writes Chrome trace events, the logger JSON
-    records). *)
+    caller's: {!Trace} writes Chrome trace events or convergence
+    lines, the logger JSON records). *)
 
 val stderr_lines : unit -> t
 (** Line sink on stderr; {!close} leaves the channel open. *)

@@ -164,7 +164,7 @@ let run_blocks pool n f =
   let t_enqueue =
     if Obs.Metrics.enabled Obs.Metrics.default then Obs.Clock.now_ns () else 0L
   in
-  let tracing = Obs.Trace.enabled Obs.Trace.default in
+  let tracing = Obs.Trace.enabled () in
   let task b () =
     Domain.DLS.set in_task_key true;
     Atomic.incr pool.tasks_run;
@@ -173,9 +173,7 @@ let run_blocks pool n f =
     then Obs.Metrics.observe m_queue_wait (Obs.Clock.seconds_since t_enqueue);
     (try
        if tracing then
-         Obs.Trace.with_span
-           ~args:[ ("block", Obs.Field.Int b) ]
-           Obs.Trace.default "pool.task"
+         Obs.Trace.with_span ~args:[ ("block", Obs.Field.Int b) ] "pool.task"
            (fun () -> f b)
        else f b
      with e -> exns.(b) <- Some e);

@@ -46,7 +46,7 @@ val stats : t -> stats
     [pool_blocks_scheduled_total], [pool_queue_wait_seconds],
     [pool_worker_busy_ns_total], [pool_worker_idle_ns_total],
     [pool_sequential_fallbacks_total], [pool_nested_fallbacks_total])
-    and, when {!Obs.Trace.default} has a sink, emits one [pool.task]
+    and, when {!Obs.Trace} has a trace sink, emits one [pool.task]
     span per executed block on the running domain's row. All probes are
     single-branch no-ops while the registry is disabled. *)
 

@@ -120,7 +120,7 @@ let contains ~needle hay =
   nl = 0 || go 0
 
 (* pull an integer field out of one event line; enough of a parser for
-   the fixed shapes Trace.emit produces *)
+   the fixed shapes Trace writes *)
 let field_int line key =
   let marker = Printf.sprintf "\"%s\": " key in
   let ml = String.length marker in
@@ -141,15 +141,14 @@ let field_int line key =
   int_of_string (String.sub line start (!stop - start))
 
 let test_pool_spans_well_formed_jsonl () =
-  let tr = Obs.Trace.default in
   let sink, lines = Obs.Sink.memory () in
-  Obs.Trace.set_sink tr (Some sink);
-  Obs.Trace.with_span tr "outer" (fun () ->
+  Obs.Trace.set_sink (Some sink);
+  Obs.Trace.with_span "outer" (fun () ->
       Pool.for_blocks ~jobs:2 4 (fun b ->
-          Obs.Trace.with_span tr "inner"
+          Obs.Trace.with_span "inner"
             ~args:[ ("block", Obs.Field.Int b) ]
             (fun () -> ignore (Sys.opaque_identity (b * b)))));
-  Obs.Trace.close tr;
+  Obs.Trace.close ();
   let ls = lines () in
   (match ls with
   | opening :: _ -> Alcotest.(check string) "array opening" "[" opening
@@ -206,14 +205,14 @@ let prop_inference_bits_unchanged_by_obs =
       Obs.Metrics.reset reg;
       Obs.Metrics.enable reg;
       let trace_sink, _ = Obs.Sink.memory () in
-      Obs.Trace.set_sink Obs.Trace.default (Some trace_sink);
+      Obs.Trace.set_sink (Some trace_sink);
       let log_sink, _ = Obs.Sink.memory () in
       Obs.Logger.set_sink Obs.Logger.default (Some log_sink);
       Obs.Logger.set_level Obs.Logger.default (Some Obs.Logger.Debug);
       let on = Core.Lia.infer ~r ~y_learn ~y_now () in
       Obs.Logger.set_level Obs.Logger.default None;
       Obs.Logger.set_sink Obs.Logger.default None;
-      Obs.Trace.close Obs.Trace.default;
+      Obs.Trace.close ();
       Obs.Metrics.disable reg;
       Obs.Metrics.reset reg;
       vec_bits_equal off.Core.Lia.loss_rates on.Core.Lia.loss_rates
@@ -332,9 +331,9 @@ let prop_inference_bits_unchanged_by_recorder =
       let off = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
       Obs.Recorder.enable Obs.Recorder.default;
       let conv_sink, _ = Obs.Sink.memory () in
-      Obs.Convergence.set_sink Obs.Convergence.default (Some conv_sink);
+      Obs.Trace.set_convergence_sink (Some conv_sink);
       let on = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
-      Obs.Convergence.set_sink Obs.Convergence.default None;
+      Obs.Trace.set_convergence_sink None;
       Obs.Recorder.disable Obs.Recorder.default;
       Obs.Recorder.reset Obs.Recorder.default;
       vec_bits_equal off.Core.Lia.loss_rates on.Core.Lia.loss_rates
@@ -358,9 +357,9 @@ let prop_convergence_jsonl_well_formed =
           }
       in
       let sink, lines = Obs.Sink.memory () in
-      Obs.Convergence.set_sink Obs.Convergence.default (Some sink);
+      Obs.Trace.set_convergence_sink (Some sink);
       ignore (Core.Lia.infer ~solver ~r ~y_learn ~y_now ());
-      Obs.Convergence.set_sink Obs.Convergence.default None;
+      Obs.Trace.set_convergence_sink None;
       let ls = lines () in
       let last_iter = Hashtbl.create 8 in
       ls <> []
@@ -419,6 +418,82 @@ let test_report_renders_sections () =
   Alcotest.(check bool) "empty inputs say so" true
     (contains ~needle:"no telemetry"
        (Obs.Report.render ~recorder:"not json at all" ()))
+
+(* --- one event record, three outputs ------------------------------------ *)
+
+(* a cgls run with the recorder, the trace and the convergence stream all
+   on: each output is a view of the same events *)
+let test_outputs_agree () =
+  let r, y_learn, y_now = random_campaign 17 in
+  let solver =
+    Core.Lia.Cgls
+      { tol = 1e-10; max_iter = None; precond = Core.Variance_estimator.Pc_jacobi }
+  in
+  let rcd = Obs.Recorder.default in
+  Obs.Recorder.reset rcd;
+  Obs.Recorder.enable rcd;
+  let trace_sink, trace_lines = Obs.Sink.memory () in
+  let conv_sink, conv_lines = Obs.Sink.memory () in
+  Obs.Trace.set_sink (Some trace_sink);
+  Obs.Trace.set_convergence_sink (Some conv_sink);
+  ignore (Core.Lia.infer_checked ~solver ~r ~y_learn ~y_now ());
+  Obs.Trace.close ();
+  Obs.Recorder.disable rcd;
+  let events = Obs.Recorder.events rcd in
+  let dump_sink, dump_lines = Obs.Sink.memory () in
+  Obs.Recorder.dump rcd ~reason:"test" dump_sink;
+  Obs.Recorder.reset rcd;
+  let of_kind kind = List.filter (fun e -> e.Obs.Recorder.kind = kind) events in
+  let sorted = List.sort compare in
+  Alcotest.(check bool) "the run iterated" true (conv_lines () <> []);
+  Alcotest.(check (list string))
+    "convergence lines are the recorder's solver_iter events"
+    (sorted (conv_lines ()))
+    (sorted
+       (List.map
+          (fun e ->
+            Obs.Field.assoc_json
+              (("solver", Obs.Field.Str e.Obs.Recorder.name) :: e.Obs.Recorder.fields))
+          (of_kind "solver_iter")));
+  (* the convergence table without its converged column, which only
+     solver_done events fill *)
+  let table page =
+    let rec after = function
+      | "Convergence" :: _ :: _ :: rows -> rows
+      | _ :: tl -> after tl
+      | [] -> []
+    in
+    let rec rows = function
+      | "" :: _ | [] -> []
+      | row :: tl ->
+          (match List.filter (( <> ) "") (String.split_on_char ' ' row) with
+          | cols when List.length cols = 8 -> List.filteri (fun i _ -> i < 7) cols
+          | cols -> cols)
+          :: rows tl
+    in
+    rows (after (String.split_on_char '\n' page))
+  in
+  let from_recorder =
+    table (Obs.Report.render ~recorder:(String.concat "\n" (dump_lines ())) ())
+  in
+  Alcotest.(check bool) "recorder table has rows" true (List.length from_recorder > 1);
+  Alcotest.(check (list (list string)))
+    "report rows agree across recorder and convergence" from_recorder
+    (table (Obs.Report.render ~convergence:(String.concat "\n" (conv_lines ())) ()));
+  let trace_spans =
+    List.filter_map
+      (fun line ->
+        let line = String.sub line 0 (max 0 (String.length line - 1)) in
+        match Obs.Json.of_string_opt line with
+        | Some json when Obs.Json.member "ph" json = Some (Obs.Json.Str "X") ->
+            Option.bind (Obs.Json.member "name" json) Obs.Json.to_string_opt
+        | _ -> None)
+      (trace_lines ())
+  in
+  Alcotest.(check bool) "the run traced spans" true (trace_spans <> []);
+  Alcotest.(check (list string))
+    "trace spans are the recorder's span_end events" (sorted trace_spans)
+    (sorted (List.map (fun e -> e.Obs.Recorder.name) (of_kind "span_end")))
 
 (* --- metric naming convention ------------------------------------------- *)
 
@@ -507,6 +582,8 @@ let recorder_tests =
     test_recorder_drop_oldest
   :: Alcotest.test_case "report renders all sections" `Quick
        test_report_renders_sections
+  :: Alcotest.test_case "recorder, trace and convergence agree" `Quick
+       test_outputs_agree
   :: List.map QCheck_alcotest.to_alcotest
        [
          prop_recorder_ring_semantics;
