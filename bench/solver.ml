@@ -461,7 +461,7 @@ let run_precond_smoke () =
   let groups = Topology.Partition.group_cols part in
   let y_now = target.Netsim.Snapshot.y in
   let infer solver = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
-  let res_dense = infer Core.Lia.Dense in
+  let res_dense = infer Core.Lia.Dense_qr in
   let cgls precond = Core.Lia.Cgls { tol = 1e-12; max_iter = None; precond } in
   let res_cgls = infer (cgls VE.Pc_jacobi) in
   let res_blk = infer (cgls (VE.Pc_block_jacobi groups)) in

@@ -140,7 +140,7 @@ let precond_spec_of ~precond ~partition ~graph ~red =
 
 let solver_of ~solver ~cgls_tol ~cgls_max_iter ~precond =
   match solver with
-  | `Auto | `Dense -> Core.Lia.Dense
+  | `Auto | `Dense -> Core.Lia.Dense_qr
   | `Cgls ->
       Core.Lia.Cgls
         {

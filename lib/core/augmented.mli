@@ -64,7 +64,8 @@ val matfree_column_counts :
 (** Diagonal of [AᵀA] for the (masked) implicit matrix: entry [e] counts
     the live pair rows whose support contains link [e]. Exact integer
     counts (in floats), one tiled sweep, jobs-invariant. This is the
-    Jacobi preconditioner weight for {!Linalg.Lsqr.scaled_columns}. *)
+    Gram diagonal Phase 1 hands {!Variance_estimator.preconditioner}
+    for the Jacobi preconditioner ({!Linalg.Precond.jacobi}). *)
 
 val gram_blocks :
   ?jobs:int ->
@@ -79,7 +80,8 @@ val gram_blocks :
     commutes with column restriction, each block is computed from the
     group-restricted routing rows alone, never touching the other
     columns: this is the per-AS factorization unit of the hierarchical
-    solve path ({!Linalg.Precond.block_jacobi}). Groups are processed in
+    solve path ({!Linalg.Precond.block_jacobi}, built by
+    {!Variance_estimator.preconditioner}). Groups are processed in
     parallel over [jobs] domains, each writing only its own output slot;
     entries are exact integer counts, so results are bit-for-bit
     identical for every [jobs]. [mask] has the same semantics as in

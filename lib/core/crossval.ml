@@ -291,12 +291,6 @@ let m_cell_seconds =
     ~help:"Wall seconds per estimate call (excluding data generation)"
     "lia_crossval_cell_seconds"
 
-(* [Gc.minor_words ()] reads the allocation pointer; the [quick_stat]
-   field is only refreshed at GC events in native code *)
-let allocated_words () =
-  let g = Gc.quick_stat () in
-  Gc.minor_words () +. g.Gc.major_words -. g.Gc.promoted_words
-
 let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
   let refused reason =
     {
@@ -313,11 +307,11 @@ let evaluate ~threshold ~snapshots ~probes (est : Estimator.t) scenario =
   with
   | Error msg -> refused msg
   | Ok (input, truth) ->
-      let g0 = allocated_words () in
+      let g0 = Obs.Clock.alloc_words () in
       let t0 = Obs.Clock.now_ns () in
       let res = est.Estimator.estimate ~threshold input in
       let wall_s = Obs.Clock.seconds_since t0 in
-      let alloc_words = allocated_words () -. g0 in
+      let alloc_words = Obs.Clock.alloc_words () -. g0 in
       Obs.Metrics.incr m_cells;
       Obs.Metrics.observe m_cell_seconds wall_s;
       let outcome =
@@ -494,24 +488,6 @@ let render ?(timing = false) cells =
 
 (* --- JSONL ------------------------------------------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
@@ -525,25 +501,30 @@ let to_jsonl cells =
       let common =
         Printf.sprintf
           "\"family\":%s,\"size\":%d,\"model\":%s,\"fault\":%s,\"seed\":%d,\"estimator\":%s"
-          (json_string s.family) s.size (json_string s.model)
-          (json_string (Faults.to_string s.fault))
-          s.seed (json_string c.estimator)
+          (Obs.Field.json_string s.family)
+          s.size
+          (Obs.Field.json_string s.model)
+          (Obs.Field.json_string (Faults.to_string s.fault))
+          s.seed
+          (Obs.Field.json_string c.estimator)
       in
       let body =
         match c.outcome with
         | Scored { score; health; note } ->
             Printf.sprintf
               "\"outcome\":\"scored\",\"health\":%s,\"note\":%s,\"abs_mean\":%s,\"abs_max\":%s,\"err_factor_median\":%s,\"dr\":%s,\"fpr\":%s"
-              (json_string health) (json_string note) (json_opt score.abs_mean)
+              (Obs.Field.json_string health)
+              (Obs.Field.json_string note)
+              (json_opt score.abs_mean)
               (json_opt score.abs_max)
               (json_opt score.err_factor_median)
               (json_float score.dr) (json_float score.fpr)
         | Refused reason ->
             Printf.sprintf "\"outcome\":\"refused\",\"reason\":%s"
-              (json_string reason)
+              (Obs.Field.json_string reason)
         | Skipped reason ->
             Printf.sprintf "\"outcome\":\"skipped\",\"reason\":%s"
-              (json_string reason)
+              (Obs.Field.json_string reason)
       in
       Buffer.add_string buf
         (Printf.sprintf "{%s,%s,\"wall_s\":%s,\"alloc_words\":%s}\n" common

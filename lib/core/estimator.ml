@@ -379,7 +379,7 @@ let lia_adapter ~name ~descr ~solver ~golden =
 let lia_dense =
   lia_adapter ~name:"lia-dense"
     ~descr:"LIA two-phase inference, dense QR solvers (the paper, Sec. 5.3)"
-    ~solver:Lia.Dense ~golden:(Abs_err 0.02)
+    ~solver:Lia.Dense_qr ~golden:(Abs_err 0.02)
 
 let lia_cgls =
   lia_adapter ~name:"lia-cgls"

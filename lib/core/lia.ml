@@ -26,8 +26,8 @@ let m_refused =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Health-checked inferences refused" "lia_refused_total"
 
-type solver =
-  | Dense
+type solver = Plan.backend =
+  | Dense_qr
   | Cgls of {
       tol : float;
       max_iter : int option;
@@ -37,9 +37,9 @@ type solver =
 let default_cgls =
   Cgls { tol = 1e-10; max_iter = None; precond = Variance_estimator.Pc_jacobi }
 
-let learn ?(solver = Dense) ?jobs ?(min_pair_samples = 2) ~r ~y () =
+let learn ?(solver = Dense_qr) ?jobs ?(min_pair_samples = 2) ~r ~y () =
   match solver with
-  | Dense ->
+  | Dense_qr ->
       Variance_estimator.estimate_streaming_ess ?jobs ~min_pair_samples ~r ~y ()
   | Cgls { tol; max_iter; precond } ->
       let options =
@@ -61,17 +61,16 @@ let learn ?(solver = Dense) ?jobs ?(min_pair_samples = 2) ~r ~y () =
    every existing cgls run for no structural gain on the small reduced
    system) *)
 let plan_backend = function
-  | Dense -> Plan.Dense_qr
-  | Cgls { tol; max_iter; precond } ->
-      let precond =
-        match precond with
-        | Variance_estimator.Pc_block_jacobi _ -> precond
-        | Variance_estimator.Pc_none | Variance_estimator.Pc_jacobi ->
-            Variance_estimator.Pc_none
-      in
-      Plan.Cgls { tol; max_iter; precond }
+  | Cgls
+      {
+        tol;
+        max_iter;
+        precond = Variance_estimator.Pc_none | Variance_estimator.Pc_jacobi;
+      } ->
+      Cgls { tol; max_iter; precond = Variance_estimator.Pc_none }
+  | solver -> solver
 
-let infer ?(solver = Dense) ?jobs ~r ~y_learn ~y_now () =
+let infer ?(solver = Dense_qr) ?jobs ~r ~y_learn ~y_now () =
   if Matrix.cols y_learn <> Sparse.rows r then
     invalid_arg "Lia: learning matrix width mismatch";
   if Array.length y_now <> Sparse.rows r then
@@ -121,7 +120,7 @@ let health_summary = function
         d.ess.Variance_estimator.samples_min d.target_missing d.target_corrupt
   | Refused reason -> Printf.sprintf "refused (%s)" reason
 
-let infer_checked ?(solver = Dense) ?jobs ?(min_pair_samples = 2)
+let infer_checked ?(solver = Dense_qr) ?jobs ?(min_pair_samples = 2)
     ?(max_missing_fraction = 0.5) ?(max_skipped_pair_fraction = 0.5) ~r
     ~y_learn ~y_now () =
   if Matrix.cols y_learn <> Sparse.rows r then

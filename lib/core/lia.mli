@@ -6,8 +6,9 @@
     full column rank, solves [Y = R* X*] on the target snapshot, and
     assigns transmission rate 1 (loss 0) to the eliminated links.
 
-    Both entry points run Phase 1 through {!learn}, then build a
-    single-use {!Plan} and solve one measurement through it. A
+    One {!solver} value — the same type as {!Plan.backend} — configures
+    both phases. Both entry points run Phase 1 through {!learn}, then
+    build a single-use {!Plan} and solve one measurement through it. A
     serving loop that diagnoses many snapshots against the same routing
     matrix and variances should call [Plan.make] once and amortize the
     factorization across [Plan.solve] / [Plan.solve_batch] calls. *)
@@ -26,11 +27,13 @@ type result = Plan.result = {
   removed : int array;  (** columns approximated as loss-free *)
 }
 
-(** How both phases solve their linear systems. {!learn} and
-    {!plan_backend} are the one place this choice is translated into a
-    Phase-1 algorithm and a Phase-2 {!Plan.backend}. *)
-type solver =
-  | Dense
+(** How both phases solve their linear systems: the one solver
+    configuration, shared with the Phase-2 plan ([Plan.backend] is the
+    same type). {!learn} and {!plan_backend} are the one place this
+    choice is translated into a Phase-1 algorithm and a Phase-2 plan
+    backend. *)
+type solver = Plan.backend =
+  | Dense_qr
       (** the historical path: streaming normal equations
           ({!Variance_estimator.estimate_streaming_ess}) for Phase 1,
           dense Householder QR for Phase 2. Exact, and fastest while the
@@ -39,22 +42,21 @@ type solver =
       tol : float;  (** CGLS relative tolerance (1e-10 in {!default_cgls}) *)
       max_iter : int option;  (** [None] = the CGLS default cap *)
       precond : Variance_estimator.precond_spec;
-          (** preconditioner for the Phase-1 augmented solve:
-              [Pc_jacobi] (the {!default_cgls} choice — bit-for-bit the
-              historical Jacobi-scaled path), [Pc_none], or
+          (** preconditioner for the Phase-1 augmented solve, built by
+              {!Variance_estimator.preconditioner}: [Pc_jacobi] (the
+              {!default_cgls} choice), [Pc_none], or
               [Pc_block_jacobi groups] for the hierarchical AS-sharded
               path (groups from {!Topology.Partition.group_cols}).
-              Block-Jacobi also carries over to the Phase-2 plan
-              backend; the other choices leave Phase 2 on the historical
-              raw CGLS. *)
+              Block-Jacobi also carries over to Phase 2
+              ({!plan_backend}); the other choices leave Phase 2 on raw
+              CGLS. *)
     }
       (** matrix-free: Phase 1 runs preconditioned CGLS against the
           implicit augmented operator
           ({!Variance_estimator.estimate_matfree_ess}), Phase 2 solves
-          through the sparse [R*] ({!Plan.backend}). Memory stays
-          O(non-zeros + vectors) — the only path that scales past the
-          n_p² wall — and agrees with [Dense] to solver tolerance on
-          full-rank systems. *)
+          through the sparse [R*]. Memory stays O(non-zeros + vectors) —
+          the only path that scales past the n_p² wall — and agrees with
+          [Dense_qr] to solver tolerance on full-rank systems. *)
 
 val default_cgls : solver
 (** [Cgls { tol = 1e-10; max_iter = None; precond = Pc_jacobi }]. *)
@@ -69,18 +71,17 @@ val learn :
   Linalg.Vector.t * Variance_estimator.ess
 (** Phase 1: the link variances learnt from the [m × n_p] snapshot
     matrix [y], with the effective-sample-size report. [solver] (default
-    [Dense]) picks the algorithm; negative sample covariances are
+    [Dense_qr]) picks the algorithm; negative sample covariances are
     dropped and the variances clamped at 0 under both. Pairs with fewer
     than [min_pair_samples] (default 2) overlapping snapshots are
     excluded. Raises [Invalid_argument] as the estimator it dispatches
     to. Bit-for-bit identical for every [jobs] value. *)
 
 val plan_backend : solver -> Plan.backend
-(** Phase 2: the plan backend matching [solver]. [Dense] maps to
-    [Plan.Dense_qr]; [Cgls] to [Plan.Cgls] with the same tolerance and
-    cap, keeping the preconditioner only when it is block-Jacobi
-    ([Pc_jacobi] preconditions Phase 1 only, so Phase 2 then runs raw
-    CGLS). *)
+(** Phase 2: the plan backend matching [solver]. [Dense_qr] is
+    returned as is; [Cgls] keeps its tolerance and cap and its
+    preconditioner only when that is block-Jacobi ([Pc_jacobi]
+    preconditions Phase 1 only, so Phase 2 then runs raw CGLS). *)
 
 val infer :
   ?solver:solver ->
@@ -94,7 +95,7 @@ val infer :
     log path transmission rates of the learning snapshots; [y_now] the
     log measurement of the snapshot to diagnose. Raises
     [Invalid_argument] on dimension mismatches, before any work is
-    done. [solver] (default [Dense]) picks the linear-algebra path of
+    done. [solver] (default [Dense_qr]) picks the linear-algebra path of
     both phases ({!learn}, {!plan_backend}). [jobs] (default
     [Parallel.Pool.default_jobs ()]) runs Phase 1's covariance and
     normal-equation kernels and Phase 2's QR on a domain pool; the
@@ -170,7 +171,7 @@ val infer_checked :
     - any solver failure or non-finite output becomes [Refused], never
       an exception escape.
 
-    [solver] (default [Dense]) picks the linear-algebra path as in
+    [solver] (default [Dense_qr]) picks the linear-algebra path as in
     {!infer}; the quarantine, effective-sample-size accounting, and
     verdict rules are identical under both, so [Cgls] changes estimates
     only within solver tolerance. Raises [Invalid_argument] only for

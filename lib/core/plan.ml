@@ -85,44 +85,27 @@ let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
         (* columns renumbered in kept order, so solutions index like the
            QR path's *)
         let r_star = Sparse.select_cols r kept in
-        let k = Array.length kept in
-        let pc =
+        let precond =
           match precond with
-          | Variance_estimator.Pc_none -> None
-          | Variance_estimator.Pc_jacobi ->
-              let counts =
-                Array.map float_of_int (Sparse.column_counts r_star)
-              in
-              Some (Linalg.Precond.jacobi counts)
           | Variance_estimator.Pc_block_jacobi groups ->
               (* groups are in original column numbering; keep only the
                  surviving columns, renumbered to their kept position *)
               let pos = Array.make nc (-1) in
               Array.iteri (fun t j -> pos.(j) <- t) kept;
-              let blocks =
-                Array.to_list groups
-                |> List.filter_map (fun g ->
-                       let local =
-                         Array.of_list
-                           (List.filter_map
-                              (fun j ->
-                                if pos.(j) >= 0 then Some pos.(j) else None)
-                              (Array.to_list g))
-                       in
-                       if Array.length local = 0 then None
-                       else begin
-                         Array.sort Int.compare local;
-                         Some (local, Sparse.gram_block r_star local)
-                       end)
+              let local g =
+                Array.to_list g
+                |> List.filter_map (fun j ->
+                       if pos.(j) >= 0 then Some pos.(j) else None)
                 |> Array.of_list
               in
-              Some (Linalg.Precond.block_jacobi ?jobs ~cols:k blocks)
+              Variance_estimator.Pc_block_jacobi (Array.map local groups)
+          | Variance_estimator.Pc_none | Variance_estimator.Pc_jacobi -> precond
         in
-        let pc_name =
-          match precond with
-          | Variance_estimator.Pc_none -> "none"
-          | Variance_estimator.Pc_jacobi -> "jacobi"
-          | Variance_estimator.Pc_block_jacobi _ -> "block_jacobi"
+        let pc, pc_name =
+          Variance_estimator.preconditioner ?jobs ~cols:(Array.length kept)
+            ~diag:(fun () -> Array.map float_of_int (Sparse.column_counts r_star))
+            ~gram_blocks:(Array.map (Sparse.gram_block r_star))
+            precond
         in
         Iterative
           {

@@ -18,6 +18,12 @@
     - [solve]: O(n_p·k) per measurement;
     - [solve_batch]: O(n_p·k·M), one blocked reflector pass for all [M].
 
+    {b One solver configuration.} {!backend} is also [Lia.solver]: the
+    Phase-1 estimator reads the same [Cgls] record, and
+    [Lia.plan_backend] derives the backend a plan runs from it. Both
+    phases turn its preconditioner choice into a {!Linalg.Precond.t}
+    through {!Variance_estimator.preconditioner}.
+
     {b Invalidation.} A plan caches decisions derived from [r] and
     [variances] at [make] time: if either changes (new routing, Phase 1
     re-learnt), build a new plan — results from a stale plan answer the
@@ -59,15 +65,15 @@ type backend =
           fitting. [max_iter = None] means the CGLS default ([2k]).
           Iterations feed the [lia_cgls_iterations] counter.
 
-          [precond] is factored once at [make] time and reused by every
-          solve: [Pc_none] is the historical raw-CGLS behaviour,
-          [Pc_jacobi] equalizes the kept columns' path counts, and
-          [Pc_block_jacobi groups] (groups in {e original} column
-          numbering, e.g. an AS partition) Cholesky-factors each group's
-          [R*ᵀR*] diagonal block independently
-          ({!Linalg.Precond.block_jacobi}); groups are intersected with
-          the kept columns, so rank reduction and the partition
-          compose. *)
+          [precond] is built once at [make] time by
+          {!Variance_estimator.preconditioner}, from the column counts
+          and Gram blocks of [R*], and reused by every solve: [Pc_none]
+          is the historical raw-CGLS behaviour, [Pc_jacobi] equalizes
+          the kept columns' path counts, and [Pc_block_jacobi groups]
+          (groups in {e original} column numbering, e.g. an AS
+          partition) Cholesky-factors each group's [R*ᵀR*] diagonal
+          block independently; groups are first restricted to the kept
+          columns, so rank reduction and the partition compose. *)
 
 val make :
   ?jobs:int -> ?backend:backend ->

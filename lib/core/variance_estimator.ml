@@ -49,6 +49,23 @@ let default_matfree_options =
     mf_precond = Pc_jacobi;
   }
 
+let preconditioner ?jobs ~cols ~diag ~gram_blocks = function
+  | Pc_none -> (None, "none")
+  | Pc_jacobi -> (Some (Linalg.Precond.jacobi (diag ())), "jacobi")
+  | Pc_block_jacobi groups ->
+      let sorted g =
+        let g = Array.copy g in
+        Array.sort Int.compare g;
+        g
+      in
+      let groups =
+        Array.to_list groups
+        |> List.filter (fun g -> Array.length g > 0)
+        |> List.map sorted |> Array.of_list
+      in
+      let blocks = Array.combine groups (gram_blocks groups) in
+      (Some (Linalg.Precond.block_jacobi ?jobs ~cols blocks), "block_jacobi")
+
 (* Centered measurement columns, one array per path, for cheap pair
    covariances. Missing measurements (NaN) survive centering as NaN and
    are excluded pairwise in [pair_cov]; a column with no missing cells
@@ -299,76 +316,18 @@ let estimate_matfree_ess ?(options = default_matfree_options) ?jobs ~r ~y () =
           done
         done
       done);
+  let pc, pc_name =
+    preconditioner ?jobs ~cols:nc
+      ~diag:(fun () -> Augmented.matfree_column_counts ?jobs ~mask r)
+      ~gram_blocks:(fun groups -> Augmented.gram_blocks ?jobs ~mask r ~groups)
+      options.mf_precond
+  in
   let v, stats =
-    match options.mf_precond with
-    | Pc_none ->
-        Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-          ~context:
-            [
-              ("phase", Obs.Field.Str "phase1");
-              ("precond", Obs.Field.Str "none");
-            ]
-          (Augmented.matfree ?jobs ~mask r)
-          rhs
-    | Pc_jacobi ->
-        (* Jacobi right preconditioner: equalize the wildly uneven column
-           counts of the augmented matrix (a backbone link appears in
-           almost every pair row, a leaf link in n_p of them). The
-           explicit scaled_columns + w∘z recovery is kept verbatim: it is
-           the historical arithmetic, bit-for-bit. *)
-        let op = Augmented.matfree ?jobs ~mask r in
-        let counts = Augmented.matfree_column_counts ?jobs ~mask r in
-        let w = Array.map (fun c -> 1. /. sqrt (Float.max 1. c)) counts in
-        let z, stats =
-          Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-            ~context:
-              [
-                ("phase", Obs.Field.Str "phase1");
-                ("precond", Obs.Field.Str "jacobi");
-              ]
-            (Linalg.Lsqr.scaled_columns op w)
-            rhs
-        in
-        (Array.mapi (fun e ze -> w.(e) *. ze) z, stats)
-    | Pc_block_jacobi groups ->
-        (* Hierarchical path: reorder the columns into doubly-bordered
-           block-diagonal form (each group contiguous, border last — the
-           permutation only renumbers columns, so rhs and mask are
-           untouched), factor the per-group Gram blocks independently,
-           and run CGLS on the permuted operator under the block-Jacobi
-           right preconditioner. The solution is scattered back through
-           the same permutation. *)
-        let order = Array.concat (Array.to_list groups) in
-        let rp = Sparse.permute_cols r order in
-        let op = Augmented.matfree ?jobs ~mask rp in
-        let gblocks = Augmented.gram_blocks ?jobs ~mask r ~groups in
-        let blocks =
-          let off = ref 0 in
-          Array.map2
-            (fun idx g ->
-              let s = Array.length idx in
-              let contiguous = Array.init s (fun t -> !off + t) in
-              off := !off + s;
-              (contiguous, g))
-            groups gblocks
-          |> Array.to_list
-          |> List.filter (fun (idx, _) -> Array.length idx > 0)
-          |> Array.of_list
-        in
-        let pc = Linalg.Precond.block_jacobi ?jobs ~cols:nc blocks in
-        let zp, stats =
-          Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter
-            ~precond:pc
-            ~context:
-              [
-                ("phase", Obs.Field.Str "phase1");
-                ("precond", Obs.Field.Str "block_jacobi");
-              ]
-            op rhs
-        in
-        let v = Array.make nc 0. in
-        Array.iteri (fun k j -> v.(j) <- zp.(k)) order;
-        (v, stats)
+    Linalg.Lsqr.cgls ~tol:options.tol ?max_iter:options.max_iter ?precond:pc
+      ~context:
+        [ ("phase", Obs.Field.Str "phase1"); ("precond", Obs.Field.Str pc_name) ]
+      (Augmented.matfree ?jobs ~mask r)
+      rhs
   in
   let v = if options.mf_clamp then Array.map (fun x -> Float.max 0. x) v else v in
   Obs.Metrics.add m_cgls_iters stats.Linalg.Conjugate_gradient.iterations;

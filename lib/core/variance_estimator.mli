@@ -88,11 +88,29 @@ type precond_spec =
           the pre-preconditioner-hook arithmetic *)
   | Pc_block_jacobi of int array array
       (** hierarchical block-Jacobi over the given column groups (e.g.
-          {!Topology.Partition.group_cols} of an AS partition): the
-          operator is reordered into doubly-bordered block-diagonal form
-          and each group's Gram block is Cholesky-factored independently
-          ({!Linalg.Precond.block_jacobi}). The groups must partition the
-          columns; the border group rides last. *)
+          {!Topology.Partition.group_cols} of an AS partition): each
+          group's Gram block is Cholesky-factored independently and
+          applied in place over the group's column indices
+          ({!Linalg.Precond.block_jacobi}); no column is reordered. The
+          groups must be disjoint; columns in no group pass through
+          unscaled. *)
+
+val preconditioner :
+  ?jobs:int ->
+  cols:int ->
+  diag:(unit -> Linalg.Vector.t) ->
+  gram_blocks:(int array array -> Linalg.Matrix.t array) ->
+  precond_spec ->
+  Linalg.Precond.t option * string
+(** The one translation of a {!precond_spec} into a right preconditioner
+    for {!Linalg.Lsqr.cgls}, shared by Phase 1 (the augmented operator)
+    and the Phase-2 {!Plan} backend ([R*]), together with its telemetry
+    label (["none"], ["jacobi"], ["block_jacobi"]). [cols] is the
+    operator's column count. [diag ()] is its Gram diagonal, called only
+    for [Pc_jacobi]. [gram_blocks groups] returns the dense Gram diagonal
+    block of each group, called only for [Pc_block_jacobi], with sorted
+    copies of the non-empty groups. [Pc_none] is [None]. Block factoring
+    fans over [jobs] domains and is jobs-invariant. *)
 
 type matfree_options = {
   tol : float;  (** CGLS relative tolerance on [‖Aᵀr‖] (default 1e-10) *)
@@ -121,8 +139,9 @@ val estimate_matfree_ess :
   Linalg.Vector.t * ess * Linalg.Lsqr.stats
 (** The matrix-free estimator: builds the right-hand side [Σ̂*] and a row
     mask (drop-negative rule, effective-sample-size guard, optional
-    sampling sketch) in one cache-tiled sweep, then runs Jacobi-scaled
-    CGLS against the implicit augmented operator. Solves the same
+    sampling sketch) in one cache-tiled sweep, then runs CGLS against
+    the implicit augmented operator under the [mf_precond]
+    preconditioner ({!preconditioner}). Solves the same
     least-squares problem as the streaming path over the same surviving
     rows, so on full-column-rank systems the minimizer agrees to solver
     tolerance. The [ess] accounting matches {!estimate_streaming_ess}

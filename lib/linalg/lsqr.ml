@@ -23,15 +23,6 @@ let of_dense m =
     apply_t = (fun y -> Matrix.tmul_vec m y);
   }
 
-let scaled_columns op w =
-  if Array.length w <> op.cols then
-    invalid_arg "Lsqr.scaled_columns: weight length mismatch";
-  {
-    op with
-    apply = (fun x -> op.apply (Vector.hadamard w x));
-    apply_t = (fun y -> Vector.hadamard w (op.apply_t y));
-  }
-
 (* CGLS in the stabilized two-term form (Björck): one apply and one
    apply_t per iteration, the normal-equations residual s = Aᵀr carried
    explicitly so the stopping test costs nothing extra.

@@ -35,15 +35,6 @@ val of_dense : Matrix.t -> operator
 (** The operator of an explicit dense matrix; for tests and small
     systems. *)
 
-val scaled_columns : operator -> Vector.t -> operator
-(** [scaled_columns op w] is the operator of [A diag(w)] — the Jacobi
-    (column-norm) right preconditioner. Solve with it, then multiply the
-    solution element-wise by [w] to recover the unscaled unknowns; the
-    minimizer is unchanged in exact arithmetic, but the iteration count
-    drops when column norms are uneven (augmented matrices are: a link's
-    column count ranges from 1 to the number of path pairs crossing
-    it). *)
-
 type stats = Conjugate_gradient.stats
 (** For CGLS, [residual_norm] is [‖Aᵀ(b − A x)‖₂] — the normal-equations
     residual that is zero exactly at a least-squares minimizer — and

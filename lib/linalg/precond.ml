@@ -1,7 +1,6 @@
 type block = { idx : int array; lower : Matrix.t }
 
 type kind =
-  | Identity
   | Diag of Vector.t (* reciprocal scales: C⁻¹ = diag(w) *)
   | Blocks of { jobs : int option; blocks : block array }
 
@@ -9,25 +8,14 @@ type t = { n : int; kind : kind }
 
 let cols p = p.n
 
-let block_count p =
-  match p.kind with
-  | Identity -> 0
-  | Diag _ -> 1
-  | Blocks { blocks; _ } -> Array.length blocks
-
-let identity n =
-  if n < 0 then invalid_arg "Precond.identity: negative dimension";
-  { n; kind = Identity }
-
 let jacobi d =
   Array.iter
     (fun x ->
       if not (Float.is_finite x) || x < 0. then
         invalid_arg "Precond.jacobi: diagonal entries must be finite and >= 0")
     d;
-  (* the reciprocal roots are the stored representation so that applying
-     the preconditioner multiplies — bit-for-bit the historical
-     [Lsqr.scaled_columns] arithmetic *)
+  (* the reciprocal roots are the stored representation so that [solve]
+     and [solve_t], applied every CGLS iteration, multiply *)
   let w = Array.map (fun c -> 1. /. sqrt (Float.max 1. c)) d in
   { n = Array.length d; kind = Diag w }
 
@@ -116,20 +104,17 @@ let check p v name =
 let mul p v =
   check p v "mul";
   match p.kind with
-  | Identity -> v
   | Diag w -> Array.mapi (fun e x -> x /. w.(e)) v
   | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_mul v
 
 let solve p v =
   check p v "solve";
   match p.kind with
-  | Identity -> v
   | Diag w -> Vector.hadamard w v
   | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_solve v
 
 let solve_t p v =
   check p v "solve_t";
   match p.kind with
-  | Identity -> v
   | Diag w -> Vector.hadamard w v
   | Blocks { jobs; blocks } -> on_blocks ~jobs ~blocks block_solve_t v

@@ -35,23 +35,15 @@ type t
 val cols : t -> int
 (** Dimension [n] of the (square) preconditioner. *)
 
-val block_count : t -> int
-(** Diagonal blocks: 0 for {!identity}, 1 for {!jacobi}, the group count
-    for {!block_jacobi}. *)
-
-val identity : int -> t
-(** [C = I]: {!solve}, {!solve_t} and {!mul} return their argument
-    unchanged (same array, not a copy). *)
-
 val jacobi : Vector.t -> t
 (** [jacobi d] is [C = diag(max 1 dₑ)^{1/2}] for [d = diag(AᵀA)] (e.g.
     {!Core.Augmented.matfree_column_counts}). Entries below 1 — columns
     in no live row — clamp to 1 so the scale stays finite. Application
-    multiplies by the precomputed reciprocal square roots, making
-    [jacobi]-preconditioned {!Lsqr.cgls} run bit-for-bit the same
-    floating-point operations as the historical
-    {!Lsqr.scaled_columns} path. Raises [Invalid_argument] on a
-    negative or non-finite entry. *)
+    multiplies by the precomputed reciprocal square roots [w], so
+    [jacobi]-preconditioned {!Lsqr.cgls} runs the same floating-point
+    operations as plain CGLS on the column-scaled operator [A diag(w)]
+    followed by [x = w ∘ u]. Raises [Invalid_argument] on a negative or
+    non-finite entry. *)
 
 val block_jacobi :
   ?jobs:int -> cols:int -> (int array * Matrix.t) array -> t

@@ -156,19 +156,6 @@ let select_cols m idx =
   in
   { nrows = m.nrows; ncols = Array.length idx; data = Array.map remap m.data }
 
-let permute_cols m order =
-  if Array.length order <> m.ncols then
-    invalid_arg "Sparse.permute_cols: order length mismatch";
-  let seen = Array.make m.ncols false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= m.ncols then
-        invalid_arg "Sparse.permute_cols: index out of bounds";
-      if seen.(j) then invalid_arg "Sparse.permute_cols: duplicate index";
-      seen.(j) <- true)
-    order;
-  select_cols m order
-
 let gram_block m idx =
   Array.iter
     (fun j ->

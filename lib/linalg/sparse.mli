@@ -77,17 +77,6 @@ val select_cols : t -> int array -> t
 (** Keeps the given columns, renumbering them [0 .. |idx|-1] in order. Rows
     keep only their surviving entries (possibly becoming empty). *)
 
-val permute_cols : t -> int array -> t
-(** [permute_cols m order] reorders the columns: new column [k] is old
-    column [order.(k)]. [order] must be a permutation of
-    [0 .. cols-1] — unlike {!select_cols} nothing is dropped — so the
-    result is the same matrix up to column numbering. This is the block
-    reordering of the hierarchical solve path: with [order] the
-    concatenation of an AS partition's groups, the permuted matrix has
-    each group's columns contiguous (doubly-bordered block-diagonal
-    form). Raises [Invalid_argument] if [order] is not a
-    permutation. *)
-
 val gram_block : t -> int array -> Matrix.t
 (** [gram_block m idx] is the dense [|idx| × |idx|] diagonal block
     [(mᵀm)_{idx,idx}] of the Gram matrix — entry [(a,b)] counts the rows

@@ -24,3 +24,11 @@ let now_us () = Int64.div (now_ns ()) 1_000L
 let seconds_since t0_ns = Int64.to_float (Int64.sub (now_ns ()) t0_ns) *. 1e-9
 
 let wall_s = Unix.gettimeofday
+
+(* quick_stat never walks the heap. Gc.minor_words () reads the live
+   young-pointer (quick_stat's minor_words only updates at minor
+   collections, so short spans would read as zero); the major terms add
+   direct major-heap allocations without double-counting promotions. *)
+let alloc_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words

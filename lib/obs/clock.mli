@@ -1,4 +1,5 @@
-(** Monotonized process clock for telemetry timestamps.
+(** Monotonized process clock for telemetry timestamps, and the
+    allocation counter read alongside it.
 
     [Unix.gettimeofday] anchored at module-load time and clamped to a
     process-wide high-water mark, so successive readings never decrease
@@ -18,3 +19,10 @@ val seconds_since : int64 -> float
 val wall_s : unit -> float
 (** Raw wall-clock seconds since the Unix epoch (for log timestamps;
     not monotonized). *)
+
+val alloc_words : unit -> float
+(** Words allocated by the running domain so far, minor and direct
+    major allocations without double-counting promotions. Cheap (never
+    walks the heap); the difference of two readings is the allocation of
+    the code between them — the [alloc_words] of trace spans and of
+    cross-validation cells. *)

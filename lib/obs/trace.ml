@@ -72,22 +72,13 @@ let emit ?(fields = []) ~kind name =
       Sink.write s (Field.assoc_json (("solver", Field.Str name) :: fields))
   | _ -> ()
 
-(* words allocated by this domain so far; quick_stat never walks the
-   heap. Gc.minor_words () reads the live young-pointer (quick_stat's
-   minor_words only updates at minor collections, so short spans would
-   read as zero); the major terms add direct major-heap allocations
-   without double-counting promotions. *)
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-
 let with_span ?(args = []) name f =
   let recording = Recorder.enabled Recorder.default in
   match !sink with
   | None when not recording -> f ()
   | _ ->
       let t0 = Clock.now_ns () in
-      let w0 = alloc_words () in
+      let w0 = Clock.alloc_words () in
       if recording then
         Recorder.record Recorder.default ~fields:args ~kind:"span_begin" name;
       Fun.protect
@@ -95,7 +86,7 @@ let with_span ?(args = []) name f =
           let t1 = Clock.now_ns () in
           let dur_us = Int64.div (Int64.sub t1 t0) 1_000L in
           let alloc =
-            ("alloc_words", Field.Int (int_of_float (alloc_words () -. w0)))
+            ("alloc_words", Field.Int (int_of_float (Clock.alloc_words () -. w0)))
           in
           if recording then
             Recorder.record Recorder.default ~kind:"span_end" name

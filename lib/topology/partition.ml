@@ -58,19 +58,6 @@ let groups p = p.groups
 
 let group_cols p = Array.map (fun g -> g.cols) p.groups
 
-let order p =
-  let out = Array.make p.ncols 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun g ->
-      Array.iter
-        (fun j ->
-          out.(!k) <- j;
-          incr k)
-        g.cols)
-    p.groups;
-  out
-
 let cols p = p.ncols
 
 let border_cols p =

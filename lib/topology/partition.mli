@@ -5,12 +5,13 @@
     all live inside one AS joins that AS's group, and every column
     touching an AS boundary — an inter-AS edge, or member edges from
     different ASes (possible after aliasing) — lands in the {e border}
-    group. Permuting the columns group-by-group with the border last
-    puts [R] (and the augmented operator built from it) in
-    doubly-bordered block-diagonal form: intra-AS diagonal blocks
-    coupled only through the border columns. The diagonal blocks are the
-    independently factorable units of {!Linalg.Precond.block_jacobi} and
-    the shardable outer loop of the ROADMAP.
+    group. Read group by group with the border last, [R] (and the
+    augmented operator built from it) is doubly-bordered block-diagonal:
+    intra-AS diagonal blocks coupled only through the border columns.
+    No column is ever moved to get there: the groups are handed as index
+    sets to {!Linalg.Precond.block_jacobi}, whose diagonal blocks are
+    the independently factorable units of the hierarchical solve path
+    and the shardable outer loop of the ROADMAP.
 
     The partition is a pure function of the graph's AS labels and the
     reduction — groups ordered by ascending AS id with the border last,
@@ -37,11 +38,6 @@ val groups : t -> group array
 val group_cols : t -> int array array
 (** Just the column index sets of {!groups}, in the same order (fresh
     outer array, shared inner arrays). *)
-
-val order : t -> int array
-(** The concatenation of all groups' columns — a permutation of
-    [0 .. cols-1] suitable for {!Linalg.Sparse.permute_cols}. Fresh
-    array. *)
 
 val cols : t -> int
 (** Total number of columns partitioned. *)

@@ -63,6 +63,12 @@ let random_instance seed =
   let y = Matrix.init (5 + (seed mod 7)) np (fun _ _ -> -.Rng.uniform rng 0. 0.5) in
   (r, variances, y)
 
+(* [k] interleaved column groups, [{j | j mod k = g}]: a partition
+   whose groups are non-contiguous index sets, for driving block-Jacobi
+   preconditioners on topologies without AS labels. *)
+let interleaved_groups ~cols k =
+  Array.init k (fun g -> Array.init ((cols - g + k - 1) / k) (fun t -> g + (t * k)))
+
 (* Learning snapshots whose sample covariance is exactly
    [R diag(v) Rᵀ] (Theorem 1's exact-covariance premise): m = n_c + 1
    rows, the link columns are the Helmert contrasts — centered and

@@ -622,25 +622,32 @@ let prop_theorem1_meshes =
 
 (* Theorem 1 on the production path: from snapshots whose sample
    covariance is exactly R diag(v) Rᵀ, Lia.learn recovers v under both
-   solvers. Worst per-link relative error. *)
+   solvers, and under CGLS with each preconditioner (block-Jacobi over
+   interleaved, non-contiguous column groups). Worst per-link relative
+   error. *)
 let learn_error ~solver r v =
   let v_hat, _ = Lia.learn ~solver ~r ~y:(Generators.exact_campaign r v) () in
   Array.fold_left Float.max 0.
     (Array.map2 (fun t e -> Float.abs (e -. t) /. t) v v_hat)
 
-let exact_cgls =
-  Lia.Cgls { tol = 1e-14; max_iter = None; precond = VE.Pc_jacobi }
+let exact_cgls precond = Lia.Cgls { tol = 1e-14; max_iter = None; precond }
 
 let theorem1_learns r v =
   List.for_all
     (fun solver -> learn_error ~solver r v <= 1e-9)
-    [ Lia.Dense; exact_cgls ]
+    [
+      Lia.Dense_qr;
+      exact_cgls VE.Pc_none;
+      exact_cgls VE.Pc_jacobi;
+      exact_cgls
+        (VE.Pc_block_jacobi (Generators.interleaved_groups ~cols:(Sparse.cols r) 3));
+    ]
 
 let prop_theorem1_learn =
   QCheck.Test.make ~count:30
     ~name:
-      "Theorem 1: Lia.learn recovers v from exact covariances (dense, cgls; \
-       trees and meshes)"
+      "Theorem 1: Lia.learn recovers v from exact covariances (dense; cgls \
+       under each preconditioner; trees and meshes)"
     Generators.seed_arb
     (fun seed ->
       let r, v, _ = Generators.random_instance seed in

@@ -306,7 +306,7 @@ let prop_lia_adapter_bit_identical =
     Generators.seed_arb (fun seed ->
       let input = trial_input seed in
       let checked =
-        Core.Lia.infer_checked ~solver:Core.Lia.Dense ~r:input.Measurement.r
+        Core.Lia.infer_checked ~solver:Core.Lia.Dense_qr ~r:input.Measurement.r
           ~y_learn:input.Measurement.y_learn ~y_now:input.Measurement.y_now ()
       in
       match checked.Core.Lia.result with

@@ -133,32 +133,6 @@ let ts_campaign seed =
   let y_learn, _ = Netsim.Simulator.split_learning run ~learning:11 in
   (tb, red, r, y_learn)
 
-let prop_permuted_operator_matches =
-  QCheck.Test.make ~count:20
-    ~name:
-      "Sparse.permute_cols: the AS-permuted augmented operator is the \
-       original up to the column scatter (1e-12)"
-    Generators.seed_arb
-    (fun seed ->
-      let tb, red = ts_instance seed in
-      let r = red.Topology.Routing.matrix in
-      let part = Topology.Partition.by_as tb.Topology.Testbed.graph red in
-      let order = Topology.Partition.order part in
-      let rp = Sparse.permute_cols r order in
-      let op = Augmented.matfree r in
-      let opp = Augmented.matfree rp in
-      let rng = Rng.create (seed + 53) in
-      let v = random_vec rng (Sparse.cols r) in
-      let w = random_vec rng op.Lsqr.rows in
-      (* column k of the permuted operator is column order.(k) of the
-         original, so gathering v gives the same row products *)
-      let vp = Array.map (fun j -> v.(j)) order in
-      let sp = opp.Lsqr.apply_t w in
-      let s_scattered = Array.make (Sparse.cols r) 0. in
-      Array.iteri (fun k j -> s_scattered.(j) <- sp.(k)) order;
-      close ~rtol:1e-12 ~atol:1e-12 (op.Lsqr.apply v) (opp.Lsqr.apply vp)
-      && close ~rtol:1e-12 ~atol:1e-12 (op.Lsqr.apply_t w) s_scattered)
-
 (* dense Gram block of a column subset, for driving Precond.block_jacobi
    from a dense test matrix *)
 let gram_block_dense m idx =
@@ -279,20 +253,6 @@ let prop_cgls_matches_qr =
       let exact = Qr.solve m b in
       let x, stats = Lsqr.cgls ~tol:1e-13 (Lsqr.of_dense m) b in
       stats.Linalg.Conjugate_gradient.converged && close ~rtol:1e-6 exact x)
-
-let prop_scaled_columns_unchanged_minimizer =
-  QCheck.Test.make ~count:15
-    ~name:"Lsqr.scaled_columns: preconditioning leaves the minimizer alone"
-    Generators.seed_arb
-    (fun seed ->
-      let m = Generators.random_dense seed in
-      let rng = Rng.create (seed + 11) in
-      let b = random_vec rng (Matrix.rows m) in
-      let op = Lsqr.of_dense m in
-      let w = Array.init op.Lsqr.cols (fun _ -> Rng.uniform rng 0.3 3.) in
-      let plain, _ = Lsqr.cgls ~tol:1e-13 op b in
-      let z, _ = Lsqr.cgls ~tol:1e-13 (Lsqr.scaled_columns op w) b in
-      close ~rtol:1e-6 plain (Array.mapi (fun i zi -> w.(i) *. zi) z))
 
 (* --- matrix-free estimator vs streaming oracle --------------------------- *)
 
@@ -433,6 +393,9 @@ let prop_checked_cgls_verdict_parity =
 
 (* --- Plan Cgls backend --------------------------------------------------- *)
 
+(* every preconditioner the shared builder makes for R*: raw, Jacobi,
+   and block-Jacobi over interleaved (non-contiguous) groups that the
+   plan must first restrict to its kept columns *)
 let prop_plan_cgls_matches_dense_qr =
   QCheck.Test.make ~count:15
     ~name:"Plan backend Cgls: solves track Dense_qr to solver tolerance"
@@ -441,12 +404,19 @@ let prop_plan_cgls_matches_dense_qr =
       let r, variances, y = Generators.random_instance seed in
       let y_now = Matrix.row y 0 in
       let dense = Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now in
-      let backend = Core.Plan.Cgls { tol = 1e-12; max_iter = None; precond = Core.Variance_estimator.Pc_none } in
-      let plan = Core.Plan.make ~backend ~r ~variances () in
-      let it = Core.Plan.solve plan y_now in
-      Core.Plan.backend plan = backend
-      && close ~rtol:1e-6 dense.Core.Plan.loss_rates it.Core.Plan.loss_rates
-      && dense.Core.Plan.kept = it.Core.Plan.kept)
+      List.for_all
+        (fun precond ->
+          let backend = Core.Plan.Cgls { tol = 1e-12; max_iter = None; precond } in
+          let plan = Core.Plan.make ~backend ~r ~variances () in
+          let it = Core.Plan.solve plan y_now in
+          Core.Plan.backend plan = backend
+          && close ~rtol:1e-6 dense.Core.Plan.loss_rates it.Core.Plan.loss_rates
+          && dense.Core.Plan.kept = it.Core.Plan.kept)
+        [
+          VE.Pc_none;
+          VE.Pc_jacobi;
+          VE.Pc_block_jacobi (Generators.interleaved_groups ~cols:(Sparse.cols r) 3);
+        ])
 
 let prop_plan_cgls_batch_matches_solve =
   QCheck.Test.make ~count:12
@@ -533,7 +503,6 @@ let properties =
       prop_mask_is_row_deletion;
       prop_column_counts_exact;
       prop_cgls_matches_qr;
-      prop_scaled_columns_unchanged_minimizer;
       prop_matfree_estimator_matches_streaming;
       prop_matfree_estimator_default_options_sane;
       prop_matfree_estimator_jobs_invariant;
@@ -542,7 +511,6 @@ let properties =
       prop_checked_cgls_verdict_parity;
       prop_plan_cgls_matches_dense_qr;
       prop_plan_cgls_batch_matches_solve;
-      prop_permuted_operator_matches;
       prop_precond_cgls_matches_qr;
       prop_block_jacobi_jobs_invariant;
     ]
