@@ -190,7 +190,11 @@ let obs_term =
             "Stream per-iteration solver convergence JSONL (solve id, \
              iteration, relative residual, phase/preconditioner/warm \
              context) to $(i,FILE); feed it to $(b,report --convergence). \
-             $(i,FILE) $(b,-) writes to stderr.")
+             $(i,FILE) $(b,-) writes to stderr. The stream is a function of \
+             the command line: while it (or $(b,--flight-recorder)) is on, \
+             $(b,--snapshots) serving with $(b,--solver cgls) solves the \
+             snapshots one after another in row order, whatever \
+             $(b,--jobs) says.")
   in
   let recorder =
     Arg.(
@@ -475,10 +479,15 @@ let infer_cmd =
       & info [ "warm-start" ]
           ~doc:
             "With $(b,--snapshots) and $(b,--solver cgls): start each \
-             snapshot's CGLS run from the previous snapshot's solution \
-             (sequential chain; saves most iterations when consecutive \
-             snapshots are similar). Results match the cold batch within \
-             solver tolerance.")
+             snapshot's CGLS run from the previous snapshot's solution. \
+             The chain runs sequentially, giving up the $(b,--jobs) \
+             fan-out of the cold batch, and saves few iterations: \
+             $(b,bench/main.exe precond-crossover) measured about 6% fewer \
+             (3038 vs 3232), so on 2 CPUs the warm batch took 0.111 s \
+             against 0.070 s cold. It loses whenever more than one CPU is \
+             available; it can only win on one CPU with slowly drifting \
+             snapshots. Results match the cold batch within solver \
+             tolerance.")
   in
   let run testbed measurements snapshots fault_spec threshold top jobs solver
       cgls_tol cgls_max_iter precond partition warm_start obs_cfg =

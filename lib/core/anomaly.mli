@@ -19,18 +19,10 @@ val learn : ?std_floor:float -> Linalg.Matrix.t -> model
     (default [1e-4]) prevents zero-variance paths from firing on any
     noise. Raises [Invalid_argument] with fewer than two snapshots. *)
 
-val path_scores : model -> y_now:Linalg.Vector.t -> float array
-(** Standardized residuals; negative = worse than baseline. *)
-
 val anomalous_paths :
   ?z_threshold:float -> model -> y_now:Linalg.Vector.t -> bool array
 (** Paths whose measurement is more than [z_threshold] (default 3)
     standard deviations {e below} baseline (losses only get worse). *)
-
-val localize :
-  Linalg.Sparse.t -> anomalous:bool array -> bool array
-(** Smallest consistent explanation of the anomalous paths (links on
-    non-anomalous paths are exonerated). *)
 
 val detect :
   ?z_threshold:float ->

@@ -102,8 +102,6 @@ let observe_checked ?(max_missing_fraction = 0.5) t y =
 
 let size t = Queue.length t.buffer
 
-let ready t = size t >= t.window
-
 let window_matrix t =
   let n = size t in
   let rows = Array.make n [||] in

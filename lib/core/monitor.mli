@@ -40,9 +40,6 @@ val observe_checked :
 val size : t -> int
 (** Snapshots currently held. *)
 
-val ready : t -> bool
-(** True once the window is full. *)
-
 val window_matrix : t -> Linalg.Matrix.t
 (** The current window as a snapshot matrix (oldest row first). *)
 

@@ -124,17 +124,7 @@ let make ?jobs ?(backend = Dense_qr) ~r ~variances () =
   Obs.Metrics.set g_deleted (float_of_int (Array.length removed));
   { np; nc; variances = Array.copy variances; kept; removed; backend; fact }
 
-let paths p = p.np
-
-let links p = p.nc
-
 let rank p = Array.length p.kept
-
-let kept p = Array.copy p.kept
-
-let removed p = Array.copy p.removed
-
-let variances p = Array.copy p.variances
 
 let backend p = p.backend
 
@@ -203,7 +193,10 @@ let solve_batch ?jobs ?(warm_start = false) p y =
     | Iterative _ ->
         (* snapshots are independent CGLS runs; each output slot is
            written by exactly one index, so the batch is bit-for-bit
-           [solve] per row for every [jobs] value *)
+           [solve] per row for every [jobs] value. While solver iterations
+           are recorded, the snapshots run in index order instead, so the
+           solve ids and the event order do not depend on scheduling. *)
+        let jobs = if Obs.Trace.enabled ~kind:"solver_iter" () then Some 1 else jobs in
         let out = Array.make snapshots (result_of_x p (Array.make (rank p) 0.)) in
         Parallel.Pool.parallel_for ?jobs ~min_block:1 ~n:snapshots (fun l ->
             out.(l) <- result_of_x p (least_squares_x p (Matrix.row y l)));

@@ -253,10 +253,3 @@ let solve_vec f b =
   x
 
 let solve m b = solve_vec (factorize m) b
-
-let log_det f =
-  let acc = ref 0. in
-  for i = 0 to f.n - 1 do
-    acc := !acc +. log (Matrix.get f.l i i)
-  done;
-  2. *. !acc

@@ -36,6 +36,3 @@ val solve_vec : t -> Vector.t -> Vector.t
 
 val solve : Matrix.t -> Vector.t -> Vector.t
 (** One-shot [factorize] + [solve_vec]. *)
-
-val log_det : t -> float
-(** Log-determinant of the factored matrix. *)

@@ -46,8 +46,6 @@ let unsafe_set m i j x = Array.unsafe_set m.data ((i * m.cols) + j) x
 
 let unsafe_data m = m.data
 
-let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
 
 let row m i =
@@ -58,11 +56,6 @@ let col m j =
   if j < 0 || j >= m.cols then invalid_arg "Matrix.col: index out of bounds";
   Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
 
-let set_row m i v =
-  if i < 0 || i >= m.rows then invalid_arg "Matrix.set_row: index out of bounds";
-  if Array.length v <> m.cols then invalid_arg "Matrix.set_row: dimension mismatch";
-  Array.blit v 0 m.data (i * m.cols) m.cols
-
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let check_same name a b =
@@ -72,10 +65,6 @@ let check_same name a b =
 let add a b =
   check_same "Matrix.add" a b;
   { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
-let sub a b =
-  check_same "Matrix.sub" a b;
-  { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
 
 let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 
@@ -149,33 +138,6 @@ let select_cols m idx =
       if j < 0 || j >= m.cols then invalid_arg "Matrix.select_cols: index out of bounds")
     idx;
   init m.rows (Array.length idx) (fun i k -> get m i idx.(k))
-
-let drop_cols m to_drop =
-  let dropped = Array.make m.cols false in
-  List.iter
-    (fun j ->
-      if j < 0 || j >= m.cols then invalid_arg "Matrix.drop_cols: index out of bounds";
-      dropped.(j) <- true)
-    to_drop;
-  let kept = ref [] in
-  for j = m.cols - 1 downto 0 do
-    if not dropped.(j) then kept := j :: !kept
-  done;
-  select_cols m (Array.of_list !kept)
-
-let hstack a b =
-  if a.rows <> b.rows then invalid_arg "Matrix.hstack: row mismatch";
-  init a.rows (a.cols + b.cols) (fun i j ->
-      if j < a.cols then get a i j else get b i (j - a.cols))
-
-let vstack a b =
-  if a.cols <> b.cols then invalid_arg "Matrix.vstack: column mismatch";
-  init (a.rows + b.rows) a.cols (fun i j ->
-      if i < a.rows then get a i j else get b (i - a.rows) j)
-
-let map f m = { m with data = Array.map f m.data }
-
-let frobenius m = Vector.norm2 m.data
 
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && Vector.approx_equal ~tol a.data b.data

@@ -7,9 +7,6 @@
 
 type t
 
-val create : int -> int -> float -> t
-(** [create rows cols x] is a [rows × cols] matrix filled with [x]. *)
-
 val zeros : int -> int -> t
 
 val identity : int -> t
@@ -20,8 +17,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val of_arrays : float array array -> t
 (** Builds from an array of rows; all rows must have the same length.
     An empty outer array yields the [0 × 0] matrix. *)
-
-val to_arrays : t -> float array array
 
 val rows : t -> int
 
@@ -53,13 +48,9 @@ val row : t -> int -> Vector.t
 val col : t -> int -> Vector.t
 (** [col m j] is a fresh copy of column [j]. *)
 
-val set_row : t -> int -> Vector.t -> unit
-
 val transpose : t -> t
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val scale : float -> t -> t
 
@@ -83,20 +74,6 @@ val diagonal : t -> Vector.t
 
 val select_cols : t -> int array -> t
 (** [select_cols m idx] keeps columns [idx] in the given order. *)
-
-val drop_cols : t -> int list -> t
-(** [drop_cols m idx] removes the listed columns (duplicates allowed). *)
-
-val hstack : t -> t -> t
-(** Horizontal concatenation (same number of rows). *)
-
-val vstack : t -> t -> t
-(** Vertical concatenation (same number of columns). *)
-
-val map : (float -> float) -> t -> t
-
-val frobenius : t -> float
-(** Frobenius norm. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
 

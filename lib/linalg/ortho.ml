@@ -4,8 +4,6 @@ let create ~dim =
   if dim < 0 then invalid_arg "Ortho.create: negative dimension";
   { dimension = dim; basis = [] }
 
-let dim b = b.dimension
-
 let size b = List.length b.basis
 
 (* Project out the span in place; two passes of modified Gram-Schmidt keep
@@ -34,10 +32,6 @@ let orthogonalize b v =
   pass ();
   pass ();
   w
-
-let residual_norm b v =
-  if Array.length v <> b.dimension then invalid_arg "Ortho: dimension mismatch";
-  Vector.norm2 (orthogonalize b v)
 
 let independent ?(tol = 1e-8) b v =
   let nv = Vector.norm2 v in

@@ -12,8 +12,6 @@ type t
 val create : dim:int -> t
 (** Empty basis for vectors of dimension [dim]. *)
 
-val dim : t -> int
-
 val size : t -> int
 (** Number of basis vectors, i.e. the rank of the accepted set. *)
 
@@ -26,8 +24,5 @@ val try_add : ?tol:float -> t -> Vector.t -> bool
 
 val in_span : ?tol:float -> t -> Vector.t -> bool
 (** Like {!try_add} but never modifies the basis. *)
-
-val residual_norm : t -> Vector.t -> float
-(** Norm of the component of [v] orthogonal to the current span. *)
 
 val copy : t -> t

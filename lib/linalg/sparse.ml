@@ -258,17 +258,3 @@ let least_squares ?ridge ?jobs m b =
 let equal m1 m2 =
   m1.nrows = m2.nrows && m1.ncols = m2.ncols
   && Array.for_all2 (fun r1 r2 -> r1 = r2) m1.data m2.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>sparse %dx%d:" m.nrows m.ncols;
-  Array.iteri
-    (fun i r ->
-      Format.fprintf ppf "@,%3d: {" i;
-      Array.iteri
-        (fun k j ->
-          if k > 0 then Format.fprintf ppf ", ";
-          Format.fprintf ppf "%d" j)
-        r;
-      Format.fprintf ppf "}")
-    m.data;
-  Format.fprintf ppf "@]"

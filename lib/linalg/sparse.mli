@@ -113,5 +113,3 @@ val least_squares : ?ridge:float -> ?jobs:int -> t -> Vector.t -> Vector.t
     identical for every value. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -20,6 +20,13 @@ let of_string ?(path = "<string>") ?(strict = true) s =
   let fail_line n fmt =
     Printf.ksprintf (fun msg -> failwith (Printf.sprintf "%s:%d: %s" path n msg)) fmt
   in
+  (* [save] ends every line with a newline, so a file without one was cut
+     short — possibly inside its last value, which would still parse *)
+  let len = String.length s in
+  if len > 0 && s.[len - 1] <> '\n' then
+    fail_line
+      (1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s)
+      "last line has no newline (truncated file?)";
   let lines =
     String.split_on_char '\n' s
     |> List.mapi (fun i l -> (i + 1, String.trim l))

@@ -15,9 +15,11 @@ val to_string : Linalg.Matrix.t -> string
 val of_string : ?path:string -> ?strict:bool -> string -> Linalg.Matrix.t
 (** Raises [Failure] on malformed input with a one-line
     ["<path>:<line>: ..."] diagnostic (bad header, ragged row with the
-    expected width, unparsable number, row-count mismatch). [path] names
-    the source in the message; default ["<string>"]. Line numbers refer
-    to the original text, counting skipped blank/comment lines.
+    expected width, unparsable number, row-count mismatch, or a last
+    line with no newline — the mark of a truncated file, since {!save}
+    ends every line with one). [path] names the source in the message;
+    default ["<string>"]. Line numbers refer to the original text,
+    counting skipped blank/comment lines.
 
     With [strict] (the default) each value must also be a valid log
     success rate — finite and [<= 0] — so NaN, [inf], and positive

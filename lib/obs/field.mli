@@ -3,17 +3,9 @@
 
 type t = Str of string | Int of int | Float of float | Bool of bool
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control characters). *)
-
 val json_string : string -> string
-(** [escape] wrapped in double quotes. *)
-
-val json_float : float -> string
-(** Shortest faithful decimal; non-finite values become [null] (JSON has
-    no inf/nan literals). *)
-
-val to_json : t -> string
+(** JSON string literal: the string escaped (quotes, backslashes, control
+    characters) and wrapped in double quotes. *)
 
 val to_text : t -> string
 (** Unquoted rendering for the pretty sink. *)

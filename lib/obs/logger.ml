@@ -75,10 +75,6 @@ let log ?(fields = []) t lvl msg =
     Sink.flush sink
   end
 
-let debug ?fields t msg = log ?fields t Debug msg
-
 let info ?fields t msg = log ?fields t Info msg
 
 let warn ?fields t msg = log ?fields t Warn msg
-
-let error ?fields t msg = log ?fields t Error msg

@@ -30,10 +30,5 @@ val set_sink : t -> ?format:format -> Sink.t option -> unit
 (** Install an output sink ([format] defaults to [Json]); [None] reverts
     to pretty stderr. *)
 
-val log : ?fields:(string * Field.t) list -> t -> level -> string -> unit
-(** Emit if the record's level is at or above the logger's level. *)
-
-val debug : ?fields:(string * Field.t) list -> t -> string -> unit
 val info : ?fields:(string * Field.t) list -> t -> string -> unit
 val warn : ?fields:(string * Field.t) list -> t -> string -> unit
-val error : ?fields:(string * Field.t) list -> t -> string -> unit

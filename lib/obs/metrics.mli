@@ -52,8 +52,6 @@ val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
     [+Inf] overflow bucket is always appended). Default: powers of ten
     from [1e-6] to [10] — latency seconds. *)
 
-val default_buckets : float array
-
 (** {1 Probes} *)
 
 val incr : counter -> unit

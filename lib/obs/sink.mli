@@ -14,9 +14,6 @@ val close : t -> unit
 (** Flush and release the underlying resource. Closing a memory or
     stderr sink is a flush-only no-op. *)
 
-val of_channel : ?close_channel:bool -> out_channel -> t
-(** Wrap an existing channel ([close_channel] defaults to [true]). *)
-
 val file : string -> t
 (** Truncate-and-write sink on a fresh file (JSONL conventions are the
     caller's: {!Trace} writes Chrome trace events or convergence

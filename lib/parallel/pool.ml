@@ -249,15 +249,6 @@ let parallel_for ?jobs ?min_block ~n f =
         f i
       done)
 
-let map_reduce ?jobs ~blocks ~map ~reduce ~init =
-  if blocks < 0 then invalid_arg "Parallel.Pool.map_reduce: negative block count";
-  let results = Array.make blocks None in
-  for_blocks ?jobs blocks (fun b -> results.(b) <- Some (map b));
-  Array.fold_left
-    (fun acc r ->
-      match r with Some x -> reduce acc x | None -> assert false)
-    init results
-
 module Buffers = struct
   type 'a t = {
     make : unit -> 'a;

@@ -88,14 +88,6 @@ val parallel_for : ?jobs:int -> ?min_block:int -> n:int -> (int -> unit) -> unit
     Within a block, indices run in increasing order. Safe whenever
     distinct [i] touch distinct state. *)
 
-val map_reduce :
-  ?jobs:int -> blocks:int -> map:(int -> 'a) -> reduce:('a -> 'a -> 'a) ->
-  init:'a -> 'a
-(** [map_reduce ~blocks ~map ~reduce ~init] computes
-    [reduce (... (reduce (reduce init (map 0)) (map 1)) ...) (map (blocks-1))]:
-    the maps run in parallel, the fold is performed by the caller in
-    block index order, so the result is identical for every [jobs]. *)
-
 (** Reusable accumulation buffers for parallel reductions whose merge is
     order-insensitive (e.g. exact integer counts held in floats). A task
     borrows a buffer, accumulates into it, and returns it; at most one

@@ -17,10 +17,6 @@ val scatter :
     marks can be added before rendering; axis bounds grow to fit all
     layers. *)
 
-val line :
-  ?mark:char -> canvas -> (float * float) list -> unit
-(** Adds a polyline sampled at the grid resolution (default mark ['+']). *)
-
 val render :
   ?x_label:string -> ?y_label:string -> canvas -> string
 (** The framed plot with numeric axis bounds. Rendering an empty canvas

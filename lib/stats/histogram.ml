@@ -31,17 +31,3 @@ let bin_bounds t i =
 let normalized t =
   if t.total = 0 then Array.make (bins t) 0.
   else Array.map (fun c -> float_of_int c /. float_of_int t.total) t.counts
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  let width = 40 in
-  let maxc = Array.fold_left max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        let lo, hi = bin_bounds t i in
-        let bar = String.make (c * width / maxc) '#' in
-        Format.fprintf ppf "[%.4g, %.4g) %6d %s@," lo hi c bar
-      end)
-    t.counts;
-  Format.fprintf ppf "@]"

@@ -15,16 +15,8 @@ val count : t -> int
 val bin_count : t -> int -> int
 (** Number of values in bin [i]. *)
 
-val bins : t -> int
-
 val bin_bounds : t -> int -> float * float
 (** Lower and upper edge of bin [i]. *)
 
-val bin_of : t -> float -> int
-(** Index of the bin a value falls in (clamped to the edge bins). *)
-
 val normalized : t -> float array
 (** Bin frequencies summing to 1 (all zeros when empty). *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per non-empty bin with a crude bar. *)

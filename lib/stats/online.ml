@@ -16,8 +16,6 @@ let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
 let variance_population t = if t.n = 0 then 0. else t.m2 /. float_of_int t.n
 
-let std t = sqrt (variance t)
-
 let merge a b =
   if a.n = 0 then { n = b.n; mu = b.mu; m2 = b.m2 }
   else if b.n = 0 then { n = a.n; mu = a.mu; m2 = a.m2 }
@@ -54,8 +52,6 @@ module Cov = struct
     t.cxy <- t.cxy +. (dx *. (y -. t.muy));
     t.m2x <- t.m2x +. (dx *. (x -. t.mux));
     t.m2y <- t.m2y +. (dy *. (y -. t.muy))
-
-  let count t = t.n
 
   let covariance t = if t.n < 2 then 0. else t.cxy /. float_of_int (t.n - 1)
 

@@ -23,8 +23,6 @@ val variance : t -> float
 val variance_population : t -> float
 (** Population variance (divides by [n]); 0 when empty. *)
 
-val std : t -> float
-
 val merge : t -> t -> t
 (** Combine two accumulators (parallel Welford merge). *)
 
@@ -35,8 +33,6 @@ module Cov : sig
   val create : unit -> t
 
   val add : t -> float -> float -> unit
-
-  val count : t -> int
 
   val covariance : t -> float
   (** Unbiased sample covariance; 0 when fewer than two pairs. *)

@@ -2,7 +2,7 @@ type label = As of int | Border
 
 type group = { label : label; cols : int array }
 
-type t = { groups : group array; ncols : int }
+type t = { groups : group array }
 
 (* border sorts after every AS id *)
 let label_rank = function As a -> (0, a) | Border -> (1, 0)
@@ -52,26 +52,12 @@ let by_as graph (red : Routing.reduced) =
     |> List.sort (fun g1 g2 -> compare_label g1.label g2.label)
     |> Array.of_list
   in
-  { groups; ncols }
-
-let groups p = p.groups
+  { groups }
 
 let group_cols p = Array.map (fun g -> g.cols) p.groups
-
-let cols p = p.ncols
 
 let border_cols p =
   Array.fold_left
     (fun acc g ->
       match g.label with Border -> acc + Array.length g.cols | As _ -> acc)
     0 p.groups
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v>partition of %d columns:" p.ncols;
-  Array.iter
-    (fun g ->
-      (match g.label with
-      | As a -> Format.fprintf ppf "@,AS %d: %d cols" a (Array.length g.cols)
-      | Border -> Format.fprintf ppf "@,border: %d cols" (Array.length g.cols)))
-    p.groups;
-  Format.fprintf ppf "@]"

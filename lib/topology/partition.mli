@@ -32,17 +32,9 @@ val by_as : Graph.t -> Routing.reduced -> t
     membership of its physical edges. Only non-empty groups appear; a
     single-AS topology yields one group and no border. *)
 
-val groups : t -> group array
-(** Ascending AS id, border last. Do not mutate. *)
-
 val group_cols : t -> int array array
-(** Just the column index sets of {!groups}, in the same order (fresh
-    outer array, shared inner arrays). *)
-
-val cols : t -> int
-(** Total number of columns partitioned. *)
+(** The column index set of each group, ascending AS id with the border
+    last (fresh outer array, shared inner arrays). *)
 
 val border_cols : t -> int
 (** Size of the border group (0 when absent). *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,8 +30,6 @@ let bfs graph src =
   done;
   pred
 
-let routing_tree graph ~src = bfs graph src
-
 let path_of_pred graph pred ~src ~dst =
   if src = dst then None
   else begin
@@ -51,75 +49,6 @@ let path_of_pred graph pred ~src ~dst =
         let nodes = Array.of_list (collect dst []) in
         Some (Path.make ~graph ~nodes)
   end
-
-let shortest_path graph ~src ~dst =
-  let pred = bfs graph src in
-  path_of_pred graph pred ~src ~dst
-
-(* Dijkstra with deterministic tie-breaks: on equal distance, prefer the
-   smaller predecessor node id (and the out-edge order is already sorted
-   by destination). *)
-let dijkstra graph ~weight src =
-  let nv = Graph.node_count graph in
-  if src < 0 || src >= nv then invalid_arg "Routing.dijkstra: bad source";
-  let dist = Array.make nv infinity in
-  let pred = Array.make nv None in
-  let final = Array.make nv false in
-  let heap = Heap.create () in
-  dist.(src) <- 0.;
-  Heap.push heap 0. src;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if not final.(u) then begin
-          if d <= dist.(u) then begin
-            final.(u) <- true;
-            List.iter
-              (fun (e : Graph.edge) ->
-                let w = weight e.id in
-                if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
-                let nd = d +. w in
-                let better =
-                  nd < dist.(e.dst)
-                  || nd = dist.(e.dst)
-                     && (match pred.(e.dst) with
-                        | None -> true
-                        | Some prev ->
-                            let pe = Graph.edge graph prev in
-                            u < pe.Graph.src)
-                in
-                if (not final.(e.dst)) && better then begin
-                  dist.(e.dst) <- nd;
-                  pred.(e.dst) <- Some e.id;
-                  Heap.push heap nd e.dst
-                end)
-              (Graph.out_edges graph u)
-          end;
-          drain ()
-        end
-        else drain ()
-  in
-  drain ();
-  pred
-
-let shortest_path_weighted graph ~weight ~src ~dst =
-  let pred = dijkstra graph ~weight src in
-  path_of_pred graph pred ~src ~dst
-
-let paths_between_weighted graph ~weight ~beacons ~destinations =
-  let acc = ref [] in
-  Array.iter
-    (fun b ->
-      let pred = dijkstra graph ~weight b in
-      Array.iter
-        (fun d ->
-          match path_of_pred graph pred ~src:b ~dst:d with
-          | Some p -> acc := p :: !acc
-          | None -> ())
-        destinations)
-    beacons;
-  Array.of_list (List.rev !acc)
 
 let paths_between graph ~beacons ~destinations =
   let acc = ref [] in
@@ -182,8 +111,6 @@ let reduce graph paths =
 
 let build graph ~beacons ~destinations =
   reduce graph (paths_between graph ~beacons ~destinations)
-
-let path_vlinks r i = Array.copy (Sparse.row r.matrix i)
 
 let vlink_loss_rate r ~link_loss j =
   if j < 0 || j >= Array.length r.vlinks then

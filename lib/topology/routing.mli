@@ -15,34 +15,12 @@ type reduced = {
   edge_vlink : int array;  (** physical edge id -> column, or -1 if uncovered *)
 }
 
-val shortest_path : Graph.t -> src:int -> dst:int -> Path.t option
-(** BFS shortest path with deterministic tie-breaking (smallest next-hop
-    node id). [None] when [dst] is unreachable. *)
-
-val shortest_path_weighted :
-  Graph.t -> weight:(int -> float) -> src:int -> dst:int -> Path.t option
-(** Dijkstra under per-edge weights (an IGP-metric routing model). Ties
-    are broken towards the lexicographically smaller predecessor node, so
-    the result is deterministic and the per-source route set is a tree.
-    Raises [Invalid_argument] on a negative weight. *)
-
-val paths_between_weighted :
-  Graph.t ->
-  weight:(int -> float) ->
-  beacons:int array ->
-  destinations:int array ->
-  Path.t array
-(** Weighted counterpart of {!paths_between}. *)
-
-val routing_tree : Graph.t -> src:int -> int option array
-(** Predecessor edge id per node of the BFS tree rooted at [src] ([None]
-    for the root and unreachable nodes). All [shortest_path] results from
-    [src] are branches of this tree. *)
-
 val paths_between :
   Graph.t -> beacons:int array -> destinations:int array -> Path.t array
-(** All shortest paths from each beacon to each destination (skipping the
-    beacon itself and unreachable destinations), beacon-major order. *)
+(** All BFS shortest paths from each beacon to each destination (skipping
+    the beacon itself and unreachable destinations), beacon-major order.
+    Ties break towards the smallest next-hop node id, so the paths from
+    one beacon form a tree. *)
 
 val reduce : Graph.t -> Path.t array -> reduced
 (** Builds the reduced routing matrix from a set of paths: drops uncovered
@@ -52,10 +30,6 @@ val reduce : Graph.t -> Path.t array -> reduced
 val build :
   Graph.t -> beacons:int array -> destinations:int array -> reduced
 (** [paths_between] followed by {!reduce}. *)
-
-val path_vlinks : reduced -> int -> int array
-(** Columns (virtual links) traversed by path (row) [i] — the support of
-    row [i] of the matrix. *)
 
 val vlink_loss_rate : reduced -> link_loss:(int -> float) -> int -> float
 (** Loss rate of virtual link [j] given per-physical-edge loss rates:

@@ -20,10 +20,17 @@ let to_string (t : Testbed.t) =
     t.Testbed.destinations;
   Buffer.contents b
 
-let fail_line lineno msg = failwith (Printf.sprintf "line %d: %s" lineno msg)
-
-let of_string s =
+(* Failures name the source and, for a bad line, its 1-based number:
+   ["<path>:<line>: ..."]; errors found after parsing (graph or testbed
+   validation) read ["<path>: ..."]. *)
+let of_string ?(path = "<string>") s =
+  let fail_line lineno msg = failwith (Printf.sprintf "%s:%d: %s" path lineno msg) in
   let lines = String.split_on_char '\n' s in
+  (* [save] ends every line with a newline, so a file without one was cut
+     short — possibly inside its last number, which would still parse *)
+  let len = String.length s in
+  if len > 0 && s.[len - 1] <> '\n' then
+    fail_line (List.length lines) "last line has no newline (truncated file?)";
   let nodes = ref [] and edges = ref [] in
   let beacons = ref [] and dests = ref [] in
   let header_seen = ref false in
@@ -59,25 +66,27 @@ let of_string s =
         | _ -> fail_line lineno ("unrecognized line: " ^ line)
       end)
     lines;
-  if not !header_seen then failwith "missing netloss-testbed header";
-  let node_list =
-    List.sort (fun (a : Graph.node) b -> Int.compare a.Graph.id b.Graph.id) !nodes
-  in
-  let node_array = Array.of_list node_list in
-  Array.iteri
-    (fun i (n : Graph.node) ->
-      if n.Graph.id <> i then failwith "node ids are not dense from 0")
-    node_array;
-  let graph =
-    Graph.create ~nodes:node_array ~edges:(Array.of_list (List.rev !edges))
-  in
-  let t =
-    { Testbed.graph;
-      beacons = Array.of_list (List.rev !beacons);
-      destinations = Array.of_list (List.rev !dests) }
-  in
-  Testbed.validate t;
-  t
+  try
+    if not !header_seen then failwith "missing netloss-testbed header";
+    let node_list =
+      List.sort (fun (a : Graph.node) b -> Int.compare a.Graph.id b.Graph.id) !nodes
+    in
+    let node_array = Array.of_list node_list in
+    Array.iteri
+      (fun i (n : Graph.node) ->
+        if n.Graph.id <> i then failwith "node ids are not dense from 0")
+      node_array;
+    let graph =
+      Graph.create ~nodes:node_array ~edges:(Array.of_list (List.rev !edges))
+    in
+    let t =
+      { Testbed.graph;
+        beacons = Array.of_list (List.rev !beacons);
+        destinations = Array.of_list (List.rev !dests) }
+    in
+    Testbed.validate t;
+    t
+  with Failure msg | Invalid_argument msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
 let save path t =
   let dir = Filename.dirname path in
@@ -95,4 +104,4 @@ let load path =
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
-  of_string s
+  of_string ~path s

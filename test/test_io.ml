@@ -137,6 +137,39 @@ let prop_measurement_roundtrip =
       let y = Matrix.init m np (fun l i -> cells.(((l * np) + i) mod 36)) in
       Matrix.approx_equal ~tol:0. y (Trace_io.of_string (Trace_io.to_string y)))
 
+(* [save] ends every line with a newline, so a prefix that stops inside a
+   line is a truncated file: loading it must fail with a diagnostic that
+   names the file, never return a shortened last value or drop the last
+   record. *)
+let prop_truncated_file_fails =
+  QCheck.Test.make ~count:100 ~name:"truncated file fails naming path"
+    QCheck.(triple bool small_nat (float_bound_inclusive 1.))
+    (fun (testbed, seed, cut) ->
+      let suffix, save, load =
+        if testbed then
+          (".tb", (fun p -> Serial.save p (sample_testbed seed)), fun p -> ignore (Serial.load p))
+        else
+          let y =
+            Matrix.init (1 + (seed mod 5)) (1 + (seed mod 7)) (fun l i ->
+                -.float_of_int (l + i + seed + 1) /. 7.)
+          in
+          (".meas", (fun p -> Trace_io.save p y), fun p -> ignore (Trace_io.load p))
+      in
+      let path = tmp_file suffix in
+      save path;
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let mid_line =
+        List.init (String.length full - 1) (fun k -> k + 1)
+        |> List.filter (fun k -> full.[k - 1] <> '\n')
+      in
+      let k = List.nth mid_line (int_of_float (cut *. float_of_int (List.length mid_line - 1))) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub full 0 k));
+      let outcome = match load path with () -> None | exception Failure msg -> Some msg in
+      Sys.remove path;
+      match outcome with
+      | Some msg -> String.starts_with ~prefix:(path ^ ":") msg
+      | None -> false)
+
 let () =
   Alcotest.run "io"
     [
@@ -162,5 +195,9 @@ let () =
           Alcotest.test_case "negatives and zero" `Quick
             test_measurements_preserve_negatives_and_zero;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_measurement_roundtrip ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_measurement_roundtrip;
+          QCheck_alcotest.to_alcotest prop_truncated_file_fails;
+        ] );
     ]

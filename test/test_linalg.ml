@@ -99,20 +99,7 @@ let test_matrix_select_drop () =
   let m = Matrix.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
   Alcotest.check mat "select"
     (Matrix.of_arrays [| [| 3.; 1. |]; [| 6.; 4. |] |])
-    (Matrix.select_cols m [| 2; 0 |]);
-  Alcotest.check mat "drop"
-    (Matrix.of_arrays [| [| 2. |]; [| 5. |] |])
-    (Matrix.drop_cols m [ 0; 2 ])
-
-let test_matrix_stack () =
-  let a = Matrix.of_arrays [| [| 1. |]; [| 2. |] |] in
-  let b = Matrix.of_arrays [| [| 3. |]; [| 4. |] |] in
-  Alcotest.check mat "hstack"
-    (Matrix.of_arrays [| [| 1.; 3. |]; [| 2.; 4. |] |])
-    (Matrix.hstack a b);
-  Alcotest.check mat "vstack"
-    (Matrix.of_arrays [| [| 1. |]; [| 2. |]; [| 3. |]; [| 4. |] |])
-    (Matrix.vstack a b)
+    (Matrix.select_cols m [| 2; 0 |])
 
 let test_matrix_diag () =
   let d = Matrix.diag (Vector.of_list [ 1.; 2. ]) in
@@ -192,13 +179,6 @@ let test_cholesky_regularized () =
   let f = Cholesky.factorize_regularized m in
   let x = Cholesky.solve_vec f (Vector.of_list [ 2.; 2. ]) in
   check_floatish "x0+x1 ~ 2" 2. (x.(0) +. x.(1))
-
-let test_cholesky_log_det () =
-  let m = Matrix.of_arrays [| [| 4.; 0. |]; [| 0.; 9. |] |] in
-  let f = Cholesky.factorize m in
-  check_floatish "log det" (log 36.) (Cholesky.log_det f)
-
-(* --- Shared iterative-solver telemetry (Conjugate_gradient) ------------- *)
 
 let test_cg_solve_ids_increase () =
   let a = Conjugate_gradient.new_solve_id () in
@@ -709,7 +689,6 @@ let () =
           Alcotest.test_case "mul" `Quick test_matrix_mul;
           Alcotest.test_case "gram" `Quick test_matrix_gram;
           Alcotest.test_case "select/drop cols" `Quick test_matrix_select_drop;
-          Alcotest.test_case "stack" `Quick test_matrix_stack;
           Alcotest.test_case "diag" `Quick test_matrix_diag;
           Alcotest.test_case "ragged input" `Quick test_matrix_ragged;
         ] );
@@ -728,7 +707,6 @@ let () =
           Alcotest.test_case "solve" `Quick test_cholesky_solve;
           Alcotest.test_case "not positive definite" `Quick test_cholesky_not_pd;
           Alcotest.test_case "regularized" `Quick test_cholesky_regularized;
-          Alcotest.test_case "log det" `Quick test_cholesky_log_det;
           Alcotest.test_case "reference at panel and tile edges" `Quick test_cholesky_edges;
         ] );
       ( "conjugate_gradient",

@@ -87,22 +87,6 @@ let test_parallel_for_squares () =
   Alcotest.(check bool) "all squares" true
     (Array.for_all (fun b -> b) (Array.mapi (fun i x -> x = i * i) out))
 
-let test_map_reduce_deterministic () =
-  (* the reduction is deliberately non-associative so any deviation from
-     block-index order would change the bits *)
-  let map b = 1. /. float_of_int (b + 1) in
-  let reduce acc x = (acc *. 0.75) +. x in
-  let run jobs = Pool.map_reduce ~jobs ~blocks:37 ~map ~reduce ~init:0. in
-  let seq = run 1 in
-  Alcotest.(check bool) "jobs=2 same bits" true (bits_equal seq (run 2));
-  Alcotest.(check bool) "jobs=4 same bits" true (bits_equal seq (run 4));
-  (* and the sequential run is the plain left fold *)
-  let expected = ref 0. in
-  for b = 0 to 36 do
-    expected := reduce !expected (map b)
-  done;
-  Alcotest.(check bool) "matches left fold" true (bits_equal !expected seq)
-
 let test_exception_propagates () =
   Alcotest.check_raises "worker exception reaches caller" (Failure "boom")
     (fun () ->
@@ -120,9 +104,9 @@ let test_first_exception_wins () =
 
 let test_pool_reuse_across_calls () =
   let sum n jobs =
-    Pool.map_reduce ~jobs ~blocks:n
-      ~map:(fun b -> b)
-      ~reduce:( + ) ~init:0
+    let out = Array.make n 0 in
+    Pool.for_blocks ~jobs n (fun b -> out.(b) <- b);
+    Array.fold_left ( + ) 0 out
   in
   (* same shared pool serves repeated and differently-shaped calls *)
   Alcotest.(check int) "first use" 190 (sum 20 3);
@@ -274,8 +258,6 @@ let pool_tests =
     Alcotest.test_case "chunk: iter_pairs = Augmented.row_index" `Quick
       test_iter_pairs_matches_row_index;
     Alcotest.test_case "pool: parallel_for" `Quick test_parallel_for_squares;
-    Alcotest.test_case "pool: map_reduce deterministic order" `Quick
-      test_map_reduce_deterministic;
     Alcotest.test_case "pool: exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "pool: lowest block exception wins" `Quick

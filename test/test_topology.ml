@@ -52,13 +52,7 @@ let test_graph_validation () =
 let test_graph_undirected () =
   let nodes = mk_nodes 3 in
   let g = Graph.of_undirected ~nodes ~links:[| (0, 1); (1, 2) |] in
-  Alcotest.(check int) "edge count doubles" 4 (Graph.edge_count g);
-  let e = Option.get (Graph.find_edge g ~src:0 ~dst:1) in
-  Alcotest.(check (option int)) "reverse edge" (Some e.Graph.id |> fun _ ->
-    Graph.reverse_edge g e.Graph.id |> Option.map (fun id ->
-      let e' = Graph.edge g id in
-      if e'.Graph.src = 1 && e'.Graph.dst = 0 then 1 else 0))
-    (Some 1)
+  Alcotest.(check int) "edge count doubles" 4 (Graph.edge_count g)
 
 let test_graph_inter_as () =
   let nodes = mk_nodes ~as_of:(fun i -> i / 2) 4 in
@@ -78,30 +72,23 @@ let test_graph_components () =
 let test_path_make () =
   let tb = figure1 () in
   let p = Path.make ~graph:tb.Testbed.graph ~nodes:[| 0; 1; 3; 4 |] in
-  Alcotest.(check int) "length" 3 (Path.length p);
-  Alcotest.(check bool) "mem first edge" true (Path.mem_edge p 0);
-  Alcotest.(check (option int)) "position" (Some 1) (Path.edge_position p 2)
+  Alcotest.(check int) "length" 3 (Path.length p)
 
 let test_path_invalid_hop () =
   let tb = figure1 () in
   Alcotest.check_raises "bad hop" (Invalid_argument "Path.make: hop is not an edge")
     (fun () -> ignore (Path.make ~graph:tb.Testbed.graph ~nodes:[| 0; 3 |]))
 
-let test_path_shared_edges () =
-  let tb = figure1 () in
-  let g = tb.Testbed.graph in
-  let p1 = Path.make ~graph:g ~nodes:[| 0; 1; 3; 4 |] in
-  let p2 = Path.make ~graph:g ~nodes:[| 0; 1; 3; 5 |] in
-  Alcotest.(check (list int)) "shared prefix" [ 0; 2 ] (Path.shared_edges p1 p2)
-
 (* --- Routing ----------------------------------------------------------------- *)
 
 let test_shortest_path () =
   let tb = figure1 () in
-  let p = Option.get (Routing.shortest_path tb.Testbed.graph ~src:0 ~dst:5) in
-  Alcotest.(check (array int)) "route" [| 0; 1; 3; 5 |] p.Path.nodes;
-  Alcotest.(check bool) "unreachable" true
-    (Routing.shortest_path tb.Testbed.graph ~src:2 ~dst:0 = None)
+  let route ~src ~dst =
+    Routing.paths_between tb.Testbed.graph ~beacons:[| src |] ~destinations:[| dst |]
+    |> Array.map (fun (p : Path.t) -> p.Path.nodes)
+  in
+  Alcotest.(check (array (array int))) "route" [| [| 0; 1; 3; 5 |] |] (route ~src:0 ~dst:5);
+  Alcotest.(check (array (array int))) "unreachable" [||] (route ~src:2 ~dst:0)
 
 let test_figure1_routing_matrix () =
   (* The paper's example: R is 3x5 with rank 5 impossible; rank(R) = 3. *)
@@ -168,57 +155,6 @@ let test_routing_tree_property () =
             (Flutter.pair_flutters p q))
         paths)
     paths
-
-(* --- Weighted routing ---------------------------------------------------------- *)
-
-let test_dijkstra_matches_bfs_on_unit_weights () =
-  let rng = Rng.create 61 in
-  let tb = Topology.Waxman.generate rng ~nodes:60 ~hosts:8 () in
-  let g = tb.Testbed.graph in
-  let b = tb.Testbed.beacons.(0) in
-  Array.iter
-    (fun d ->
-      let bfs_p = Routing.shortest_path g ~src:b ~dst:d in
-      let dij_p = Routing.shortest_path_weighted g ~weight:(fun _ -> 1.) ~src:b ~dst:d in
-      match (bfs_p, dij_p) with
-      | None, None -> ()
-      | Some p, Some q ->
-          Alcotest.(check int) "same hop count" (Path.length p) (Path.length q)
-      | _ -> Alcotest.fail "reachability disagreement")
-    tb.Testbed.destinations
-
-let test_dijkstra_prefers_cheap_detour () =
-  (* direct edge weight 10 vs two-hop detour of total weight 2 *)
-  let nodes = mk_nodes ~hosts:[ 0; 2 ] 3 in
-  let g = Graph.create ~nodes ~edges:[| (0, 2); (0, 1); (1, 2) |] in
-  let weight e = if e = 0 then 10. else 1. in
-  let p = Option.get (Routing.shortest_path_weighted g ~weight ~src:0 ~dst:2) in
-  Alcotest.(check (array int)) "takes the detour" [| 0; 1; 2 |] p.Path.nodes;
-  (* with unit weights the direct edge wins *)
-  let q =
-    Option.get (Routing.shortest_path_weighted g ~weight:(fun _ -> 1.) ~src:0 ~dst:2)
-  in
-  Alcotest.(check (array int)) "direct when uniform" [| 0; 2 |] q.Path.nodes
-
-let test_dijkstra_negative_weight_rejected () =
-  let nodes = mk_nodes ~hosts:[ 0; 1 ] 2 in
-  let g = Graph.create ~nodes ~edges:[| (0, 1) |] in
-  Alcotest.check_raises "negative weight"
-    (Invalid_argument "Routing.dijkstra: negative weight") (fun () ->
-      ignore (Routing.shortest_path_weighted g ~weight:(fun _ -> -1.) ~src:0 ~dst:1))
-
-let test_weighted_paths_form_tree () =
-  let rng = Rng.create 67 in
-  let tb = Topology.Waxman.generate rng ~nodes:50 ~hosts:8 () in
-  let g = tb.Testbed.graph in
-  (* distance-like weights derived deterministically from edge ids *)
-  let weight e = 1. +. float_of_int (e mod 7) in
-  let paths =
-    Routing.paths_between_weighted g ~weight
-      ~beacons:[| tb.Testbed.beacons.(0) |] ~destinations:tb.Testbed.destinations
-  in
-  Alcotest.(check (list (pair int int))) "no fluttering from one beacon" []
-    (Flutter.check paths)
 
 (* --- Flutter ------------------------------------------------------------------ *)
 
@@ -289,11 +225,12 @@ let test_tree_gen_shape () =
 let test_tree_gen_all_leaves_reachable () =
   let rng = Rng.create 4 in
   let tb = Topology.Tree_gen.generate rng ~nodes:100 ~max_branching:4 () in
-  Array.iter
-    (fun d ->
-      Alcotest.(check bool) "reachable" true
-        (Routing.shortest_path tb.Testbed.graph ~src:0 ~dst:d <> None))
-    tb.Testbed.destinations
+  let paths =
+    Routing.paths_between tb.Testbed.graph ~beacons:[| 0 |]
+      ~destinations:tb.Testbed.destinations
+  in
+  Alcotest.(check int) "every leaf reachable" (Array.length tb.Testbed.destinations)
+    (Array.length paths)
 
 let test_tree_gen_invalid () =
   let rng = Rng.create 1 in
@@ -412,37 +349,6 @@ let test_testbed_routing_end_to_end () =
   let red = Testbed.routing tb in
   Alcotest.(check bool) "has paths" true (Sparse.rows red.Routing.matrix > 50);
   Alcotest.(check bool) "has links" true (Sparse.cols red.Routing.matrix > 10)
-
-(* --- Heap ----------------------------------------------------------------------- *)
-
-let test_heap_sorted_drain () =
-  let h = Topology.Heap.create () in
-  let keys = [ 5.; 1.; 4.; 1.5; 0.25; 9.; 2. ] in
-  List.iteri (fun i k -> Topology.Heap.push h k i) keys;
-  Alcotest.(check int) "size" (List.length keys) (Topology.Heap.size h);
-  let rec drain prev acc =
-    match Topology.Heap.pop h with
-    | None -> List.rev acc
-    | Some (k, _) ->
-        Alcotest.(check bool) "non-decreasing" true (k >= prev);
-        drain k (k :: acc)
-  in
-  let drained = drain neg_infinity [] in
-  Alcotest.(check (list (float 1e-9))) "all keys come back"
-    (List.sort Float.compare keys) drained;
-  Alcotest.(check bool) "empty after drain" true (Topology.Heap.is_empty h)
-
-let test_heap_interleaved () =
-  let h = Topology.Heap.create () in
-  Topology.Heap.push h 3. "c";
-  Topology.Heap.push h 1. "a";
-  (match Topology.Heap.pop h with
-  | Some (_, v) -> Alcotest.(check string) "min first" "a" v
-  | None -> Alcotest.fail "empty");
-  Topology.Heap.push h 0.5 "z";
-  (match Topology.Heap.pop h with
-  | Some (_, v) -> Alcotest.(check string) "new min" "z" v
-  | None -> Alcotest.fail "empty")
 
 (* --- Genutil ---------------------------------------------------------------------- *)
 
@@ -582,7 +488,6 @@ let () =
         [
           Alcotest.test_case "make" `Quick test_path_make;
           Alcotest.test_case "invalid hop" `Quick test_path_invalid_hop;
-          Alcotest.test_case "shared edges" `Quick test_path_shared_edges;
         ] );
       ( "routing",
         [
@@ -593,14 +498,6 @@ let () =
           Alcotest.test_case "columns distinct and nonzero" `Quick
             test_reduce_columns_distinct_nonzero;
           Alcotest.test_case "beacon tree property" `Quick test_routing_tree_property;
-          Alcotest.test_case "dijkstra = bfs on unit weights" `Quick
-            test_dijkstra_matches_bfs_on_unit_weights;
-          Alcotest.test_case "dijkstra cheap detour" `Quick
-            test_dijkstra_prefers_cheap_detour;
-          Alcotest.test_case "dijkstra negative weight" `Quick
-            test_dijkstra_negative_weight_rejected;
-          Alcotest.test_case "weighted beacon tree" `Quick
-            test_weighted_paths_form_tree;
         ] );
       ( "flutter",
         [
@@ -624,11 +521,6 @@ let () =
           Alcotest.test_case "transit-stub identifiable" `Quick
             test_transit_stub_identifiable;
           Alcotest.test_case "testbed routing" `Quick test_testbed_routing_end_to_end;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
         ] );
       ( "genutil",
         [
