@@ -1,9 +1,10 @@
 (* chaos-smoke: an 8-seed fault matrix pushed through the checked
    pipeline on a small overlay. One seed per fault kind (plus a
    kitchen-sink mix), asserting the acceptance trichotomy on every run:
-   clean verdicts must be bit-for-bit the unchecked pipeline, degraded
-   verdicts must carry finite estimates, refusals must carry no result —
-   and nothing may escape as an exception. Wired into the [chaos-smoke]
+   clean verdicts must be bit-for-bit the bare two-phase composition
+   (Lia.learn, Plan.make, Plan.solve), degraded verdicts must carry
+   finite estimates, refusals must carry no result — and nothing may
+   escape as an exception. Wired into the [chaos-smoke]
    dune alias so the fault injector and the degradation ladder cannot
    rot. *)
 
@@ -29,6 +30,10 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let result_matches (a : Lia.result) (b : Lia.result) =
   Array.for_all2 bits_equal a.Lia.loss_rates b.Lia.loss_rates
   && Array.for_all2 bits_equal a.Lia.variances b.Lia.variances
+
+let two_phase ~r ~y_learn ~y_now =
+  let variances, _ = Lia.learn ~r ~y:y_learn () in
+  Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now
 
 let result_finite (r : Lia.result) =
   Array.for_all Float.is_finite r.Lia.loss_rates
@@ -66,11 +71,11 @@ let run_smoke () =
       let verdict =
         match checked with
         | { Lia.health = Lia.Clean; result = Some res } ->
-            if not (result_matches res (Lia.infer ~r ~y_learn:y ~y_now ())) then
+            if not (result_matches res (two_phase ~r ~y_learn:y ~y_now)) then
               failwith
-                (Printf.sprintf "chaos-smoke: %s clean but differs from infer"
-                   spec_str);
-            "= Lia.infer bit-for-bit"
+                (Printf.sprintf
+                   "chaos-smoke: %s clean but differs from learn+plan" spec_str);
+            "= learn+plan bit-for-bit"
         | { Lia.health = Lia.Degraded _; result = Some res } ->
             if not (result_finite res) then
               failwith

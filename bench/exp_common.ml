@@ -17,6 +17,15 @@ type trial = {
   result : Core.Lia.result;
 }
 
+(* LIA end to end through Lia.infer_checked. Simulated campaigns carry
+   no faults, so a refusal is a bug: it fails the experiment with the
+   verdict. *)
+let infer ?solver ~r ~y_learn ~y_now () =
+  match Core.Lia.infer_checked ?solver ~r ~y_learn ~y_now () with
+  | { Core.Lia.result = Some result; _ } -> result
+  | { Core.Lia.health; result = None } ->
+      failwith ("Lia refused: " ^ Core.Lia.health_summary health)
+
 (* Run one full campaign + inference on a testbed. *)
 let run_trial ?(dynamics = Simulator.Static) ?(config_of = fun c -> c) ~seed ~m
     testbed =
@@ -26,7 +35,7 @@ let run_trial ?(dynamics = Simulator.Static) ?(config_of = fun c -> c) ~seed ~m
   let config = config_of (Snapshot.default_config Lossmodel.Loss_model.llrd1_calibrated) in
   let run = Simulator.run ~dynamics rng config r ~count:(m + 1) in
   let y_learn, target = Simulator.split_learning run ~learning:m in
-  let result = Core.Lia.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
+  let result = infer ~r ~y_learn ~y_now:target.Snapshot.y () in
   { r; routing; testbed; y_learn; target; result }
 
 (* DR/FPR against the drawn congestion statuses (the paper's ground
@@ -75,6 +84,19 @@ let congested_subset t errs =
 let congested_absolute_errors t = congested_subset t (absolute_errors t)
 
 let congested_error_factors t = congested_subset t (error_factors t)
+
+(* Best-of-[reps] wall time of [f] (reps >= 1) and its last result. The
+   bench shares lib/obs's clock, so wall-clock numbers here and histogram
+   observations in the metrics registry come from one source. *)
+let time_best ~reps f =
+  let best = ref infinity and out = ref None in
+  for _ = 1 to reps do
+    let t0 = Obs.Clock.now_ns () in
+    let x = f () in
+    best := Float.min !best (Obs.Clock.seconds_since t0);
+    out := Some x
+  done;
+  (!best, Option.get !out)
 
 let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
 

@@ -26,17 +26,6 @@ module Sparse = Linalg.Sparse
 module VE = Core.Variance_estimator
 module CG = Linalg.Conjugate_gradient
 
-let time_best ~reps f =
-  let best = ref infinity and out = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    let t = Unix.gettimeofday () -. t0 in
-    if t < !best then best := t;
-    out := Some x
-  done;
-  (!best, Option.get !out)
-
 (* worst per-entry relative difference, ignoring entries of [a] below
    [floor] (a zero reference makes relative error meaningless) *)
 let worst_rel_diff ?(floor = 1e-9) a b =
@@ -135,19 +124,22 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
       let np = Sparse.rows r and nc = Sparse.cols r in
       let pairs = np * (np + 1) / 2 in
       let t_cgls, (_, _, stats) =
-        time_best ~reps (fun () -> VE.estimate_matfree_ess ~r ~y:y_learn ())
+        Exp_common.time_best ~reps (fun () ->
+            VE.estimate_matfree_ess ~r ~y:y_learn ())
       in
       let t_dense, _ =
-        time_best ~reps (fun () -> VE.estimate_streaming_ess ~r ~y:y_learn ())
+        Exp_common.time_best ~reps (fun () ->
+            VE.estimate_streaming_ess ~r ~y:y_learn ())
       in
       let dqr =
         if np <= dense_qr_max_paths then begin
           let _, (v_mf, _, _) =
-            time_best ~reps:1 (fun () ->
+            Exp_common.time_best ~reps:1 (fun () ->
                 VE.estimate_matfree_ess ~options:full_rank_mf ~r ~y:y_learn ())
           in
           let t_dqr, v_dqr =
-            time_best ~reps:1 (fun () -> dense_qr_oracle ~r ~y:y_learn)
+            Exp_common.time_best ~reps:1 (fun () ->
+                dense_qr_oracle ~r ~y:y_learn)
           in
           let err = worst_rel_diff v_dqr v_mf in
           if err > rel_err_bound then
@@ -192,9 +184,9 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
   let np = Sparse.rows r and nc = Sparse.cols r in
   let pairs = np * (np + 1) / 2 in
   let t_e2e, (result, it_e2e) =
-    time_best ~reps:1 (fun () ->
+    Exp_common.time_best ~reps:1 (fun () ->
         with_cgls_iters (fun () ->
-            Core.Lia.infer ~solver:Core.Lia.default_cgls ~r ~y_learn
+            Exp_common.infer ~solver:Core.Lia.default_cgls ~r ~y_learn
               ~y_now:target.Netsim.Snapshot.y ()))
   in
   if not (Array.for_all Float.is_finite result.Core.Lia.loss_rates) then
@@ -230,11 +222,12 @@ let crossover ~reps ~snapshots ~hosts_list ~dense_qr_max_paths ~accept_hosts ()
     let options =
       { VE.default_matfree_options with VE.sample = Some (fraction, sk_seed) }
     in
-    time_best ~reps (fun () ->
+    Exp_common.time_best ~reps (fun () ->
         VE.estimate_matfree_ess ~options ~r ~y:y_learn ())
   in
   let _, (v_full, _, _) =
-    time_best ~reps:1 (fun () -> VE.estimate_matfree_ess ~r ~y:y_learn ())
+    Exp_common.time_best ~reps:1 (fun () ->
+        VE.estimate_matfree_ess ~r ~y:y_learn ())
   in
   Exp_common.row "%-10s %-11s %-9s %-14s %-12s" "fraction" "seconds" "iters"
     "l2 relerr" "max relerr";
@@ -321,7 +314,7 @@ let precond_crossover ~reps ~snapshots ~hosts_list () =
       let np = Sparse.rows r and nc = Sparse.cols r in
       let run pc =
         let t, (v, _, stats) =
-          time_best ~reps (fun () ->
+          Exp_common.time_best ~reps (fun () ->
               VE.estimate_matfree_ess ~options:(precond_opts pc) ~r ~y:y_learn ())
         in
         if not (Array.for_all Float.is_finite v) then
@@ -413,11 +406,11 @@ let warm_start_section ~snapshots ~hosts () =
       ~r ~variances:v ()
   in
   let t_cold, (res_cold, it_cold) =
-    time_best ~reps:1 (fun () ->
+    Exp_common.time_best ~reps:1 (fun () ->
         with_cgls_iters (fun () -> Core.Plan.solve_batch plan y_learn))
   in
   let t_warm, (res_warm, it_warm) =
-    time_best ~reps:1 (fun () ->
+    Exp_common.time_best ~reps:1 (fun () ->
         with_cgls_iters (fun () ->
             Core.Plan.solve_batch ~warm_start:true plan y_learn))
   in
@@ -460,7 +453,7 @@ let run_precond_smoke () =
   let part = Topology.Partition.by_as tb.Topology.Testbed.graph red in
   let groups = Topology.Partition.group_cols part in
   let y_now = target.Netsim.Snapshot.y in
-  let infer solver = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
+  let infer solver = Exp_common.infer ~solver ~r ~y_learn ~y_now () in
   let res_dense = infer Core.Lia.Dense_qr in
   let cgls precond = Core.Lia.Cgls { tol = 1e-12; max_iter = None; precond } in
   let res_cgls = infer (cgls VE.Pc_jacobi) in
@@ -547,7 +540,7 @@ let run_smoke () =
     st.CG.iterations st.CG.relative_residual;
   (* the cgls plan backend serves the target snapshot *)
   let res =
-    Core.Lia.infer ~solver:Core.Lia.default_cgls ~r ~y_learn
+    Exp_common.infer ~solver:Core.Lia.default_cgls ~r ~y_learn
       ~y_now:target.Netsim.Snapshot.y ()
   in
   if not (Array.for_all Float.is_finite res.Core.Lia.loss_rates) then

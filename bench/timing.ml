@@ -44,7 +44,7 @@ let tests (r, y_learn, target, variances) =
         (Staged.stage (fun () -> Linalg.Qr.solve r_star y_now));
       Test.make ~name:"phase2-full"
         (Staged.stage (fun () ->
-             Core.Lia.infer_with_variances ~r ~variances ~y_now));
+             Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now));
       Test.make ~name:"plan-build"
         (Staged.stage (fun () -> Core.Plan.make ~r ~variances ()));
       Test.make ~name:"plan-solve"
@@ -109,8 +109,8 @@ let run () =
       let t_learn = Unix.gettimeofday () -. t0 in
       let t0 = Unix.gettimeofday () in
       ignore
-        (Core.Lia.infer_with_variances ~r ~variances:v
-           ~y_now:target.Netsim.Snapshot.y);
+        (Core.Plan.solve (Core.Plan.make ~r ~variances:v ())
+           target.Netsim.Snapshot.y);
       let t_phase2 = Unix.gettimeofday () -. t0 in
       Exp_common.row "%-8d %-8d %-8d %-12.2f %-12.2f" hosts (Sparse.rows r)
         (Sparse.cols r) t_learn t_phase2)
@@ -124,17 +124,6 @@ let run () =
    growing PlanetLab-like overlays, written as machine-readable JSON so
    later PRs have a perf trajectory to compare against. The kernels are
    bit-for-bit jobs-invariant, so only time varies. *)
-
-(* the bench shares lib/obs's clock, so wall-clock numbers here and
-   histogram observations in the metrics registry come from one source *)
-let time_best ~reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Obs.Clock.now_ns () in
-    f ();
-    best := Float.min !best (Obs.Clock.seconds_since t0)
-  done;
-  !best
 
 let kernels ~r ~y_learn ~a =
   [
@@ -151,13 +140,14 @@ let kernels ~r ~y_learn ~a =
 
 (* Factor-once serving path: one Plan.make + Plan.solve_batch over
    [plan_snapshots] measurement rows, against the same rows pushed one by
-   one through the historical per-call pipeline (rank reduction + fresh
-   QR each time). Also asserts the jobs-invariance contract on the
-   batch's loss rates before recording anything. *)
+   one through a fresh plan each (rank reduction + QR per snapshot).
+   Also asserts the jobs-invariance contract on the batch's loss rates
+   before recording anything. *)
 let plan_stats ~jobs_list ~reps ~r ~variances ~ys =
   let m = Linalg.Matrix.rows ys in
-  let t_build = time_best ~reps (fun () -> ignore (Core.Plan.make ~r ~variances ())) in
-  let plan = Core.Plan.make ~r ~variances () in
+  let t_build, plan =
+    Exp_common.time_best ~reps (fun () -> Core.Plan.make ~r ~variances ())
+  in
   (* the timed batch runs with the metrics registry enabled and the
      per-snapshot figure is read back from its histogram, so the JSON and
      an operator's --metrics dump can never disagree about this number *)
@@ -165,19 +155,21 @@ let plan_stats ~jobs_list ~reps ~r ~variances ~ys =
   let h_solve = Obs.Metrics.histogram reg "plan_solve_snapshot_seconds" in
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
-  let t_batch = time_best ~reps (fun () -> ignore (Core.Plan.solve_batch plan ys)) in
+  let t_batch, _ =
+    Exp_common.time_best ~reps (fun () -> Core.Plan.solve_batch plan ys)
+  in
   Obs.Metrics.disable reg;
   let solve_per_snapshot_s =
     Obs.Metrics.histogram_sum h_solve
     /. float_of_int (max 1 (Obs.Metrics.histogram_count h_solve))
   in
   Obs.Metrics.reset reg;
-  let t_indep =
-    time_best ~reps:1 (fun () ->
+  let t_indep, () =
+    Exp_common.time_best ~reps:1 (fun () ->
         for l = 0 to m - 1 do
           ignore
-            (Core.Lia.infer_with_variances ~r ~variances
-               ~y_now:(Linalg.Matrix.row ys l))
+            (Core.Plan.solve (Core.Plan.make ~r ~variances ())
+               (Linalg.Matrix.row ys l))
         done)
   in
   let reference = Core.Plan.solve_batch ~jobs:1 plan ys in
@@ -211,31 +203,33 @@ let obs_overhead ~reps ~r ~y_learn =
   in
   Obs.Metrics.disable reg;
   kernel ();
-  let t_off = time_best ~reps kernel in
+  let t_off, () = Exp_common.time_best ~reps kernel in
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
   Obs.Trace.set_sink (Some (Obs.Sink.file Filename.null));
   (* one warm-up run per configuration so one-time costs (first span's
      formatting path, sink buffers) don't masquerade as per-call overhead *)
   kernel ();
-  let t_on = time_best ~reps kernel in
+  let t_on, () = Exp_common.time_best ~reps kernel in
   Obs.Trace.close ();
   Obs.Metrics.disable reg;
   Obs.Metrics.reset reg;
   (t_off, t_on)
 
 (* Chaos acceptance: the checked pipeline (quarantine scrub, pairwise
-   ESS guard, health verdict) must cost ~nothing over the unchecked
-   Lia.infer on clean input — both run the same phase-1 kernel, so only
-   the scrub and verdict assembly are extra. Measured on the sweep's
-   largest overlay; target < 2%. *)
+   ESS guard, health verdict) must cost ~nothing over the bare
+   Lia.learn -> Plan.make -> Plan.solve composition on clean input — both
+   run the same phase-1 kernel, so only the scrub and verdict assembly
+   are extra. Measured on the sweep's largest overlay; target < 2%. *)
 let chaos_overhead ~reps ~r ~y_learn ~y_now =
-  let t_plain =
-    time_best ~reps (fun () -> ignore (Core.Lia.infer ~r ~y_learn ~y_now ()))
+  let t_plain, _ =
+    Exp_common.time_best ~reps (fun () ->
+        let variances, _ = Core.Lia.learn ~r ~y:y_learn () in
+        Core.Plan.solve (Core.Plan.make ~r ~variances ()) y_now)
   in
-  let t_checked =
-    time_best ~reps (fun () ->
-        ignore (Core.Lia.infer_checked ~r ~y_learn ~y_now ()))
+  let t_checked, _ =
+    Exp_common.time_best ~reps (fun () ->
+        Core.Lia.infer_checked ~r ~y_learn ~y_now ())
   in
   (t_plain, t_checked)
 
@@ -252,14 +246,14 @@ let obs2_overhead ~reps ~r ~y_learn =
   Obs.Recorder.disable Obs.Recorder.default;
   Obs.Trace.set_convergence_sink None;
   kernel ();
-  let t_off = time_best ~reps kernel in
+  let t_off, () = Exp_common.time_best ~reps kernel in
   Obs.Metrics.reset reg;
   Obs.Metrics.enable reg;
   Obs.Recorder.reset Obs.Recorder.default;
   Obs.Recorder.enable Obs.Recorder.default;
   Obs.Trace.set_convergence_sink (Some (Obs.Sink.file Filename.null));
   kernel ();
-  let t_on = time_best ~reps kernel in
+  let t_on, () = Exp_common.time_best ~reps kernel in
   Obs.Trace.set_convergence_sink None;
   Obs.Recorder.disable Obs.Recorder.default;
   Obs.Recorder.reset Obs.Recorder.default;
@@ -327,7 +321,10 @@ let sweep ?(extra_json = "") ~out ~jobs_list ~reps ~snapshots ~plan_snapshots
       List.iteri
         (fun ki (name, kernel) ->
           let times =
-            List.map (fun jobs -> (jobs, time_best ~reps (fun () -> kernel jobs))) jobs_list
+            List.map
+              (fun jobs ->
+                (jobs, fst (Exp_common.time_best ~reps (fun () -> kernel jobs))))
+              jobs_list
           in
           let t1 =
             match List.assoc_opt 1 times with
@@ -349,7 +346,7 @@ let sweep ?(extra_json = "") ~out ~jobs_list ~reps ~snapshots ~plan_snapshots
           Buffer.add_string buf "]\n        }")
         (kernels ~r ~y_learn ~a);
       Buffer.add_string buf "\n      ],\n";
-      (* factor-once plan vs per-call Lia.infer_with_variances *)
+      (* factor-once plan vs a fresh plan per snapshot *)
       let variances, _ =
         Core.Variance_estimator.estimate_streaming_ess ~r ~y:y_learn ()
       in
@@ -425,12 +422,12 @@ let sweep ?(extra_json = "") ~out ~jobs_list ~reps ~snapshots ~plan_snapshots
             \    \"target_pct\": 2.0\n\
             \  },\n"
             hosts reps t2_off t2_on pct2;
-        (* fault-tolerance overhead on the same overlay: checked vs
-           unchecked end-to-end inference on clean input *)
+        (* fault-tolerance overhead on the same overlay: checked
+           inference vs the bare two-phase composition on clean input *)
         let t_plain, t_checked = chaos_overhead ~reps ~r ~y_learn ~y_now in
         let cpct = 100. *. (t_checked -. t_plain) /. t_plain in
         Exp_common.note
-          "chaos overhead (infer_checked vs infer, %d hosts): plain %.4f s, \
+          "chaos overhead (infer_checked vs learn+plan, %d hosts): plain %.4f s, \
            checked %.4f s (%+.2f%%, target < 2%%)"
           hosts t_plain t_checked cpct;
         chaos_json :=

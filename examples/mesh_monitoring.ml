@@ -33,8 +33,14 @@ let () =
   let run = Simulator.run rng config r ~count:stream_len in
 
   let monitor = Core.Monitor.create ~r ~window in
+  let observe y =
+    match Core.Monitor.observe monitor y with
+    | Core.Monitor.Rejected _ as o ->
+        failwith ("snapshot " ^ Core.Monitor.observation_to_string o)
+    | Core.Monitor.Accepted | Core.Monitor.Accepted_degraded _ -> ()
+  in
   for t = 0 to window - 1 do
-    Core.Monitor.observe monitor (Matrix.row run.Simulator.y t)
+    observe (Matrix.row run.Simulator.y t)
   done;
 
   (* CLINK's probability model over the same warm-up window *)
@@ -60,7 +66,12 @@ let () =
     in
     let n_anom = Array.fold_left (fun a b -> if b then a + 1 else a) 0 anomalous in
     (* three diagnoses *)
-    let lia = Core.Monitor.infer monitor ~y_now:snap.Snapshot.y in
+    let lia =
+      match Core.Monitor.infer monitor ~y_now:snap.Snapshot.y with
+      | { Core.Lia.result = Some result; _ } -> result
+      | { Core.Lia.health; result = None } ->
+          failwith (Core.Lia.health_summary health)
+    in
     let lia_verdict = Core.Lia.congested lia ~threshold:0.002 in
     let bad_paths =
       Core.Scfs.classify_paths r ~y_now:snap.Snapshot.y ~threshold:0.002
@@ -82,7 +93,7 @@ let () =
       (100. *. c.Metrics.dr) (100. *. c.Metrics.fpr) (100. *. s.Metrics.dr)
       (100. *. s.Metrics.fpr);
     (* slide the window forward *)
-    Core.Monitor.observe monitor snap.Snapshot.y
+    observe snap.Snapshot.y
   done;
   let n = float_of_int !scored in
   Printf.printf "%s\n" (String.make 72 '-');

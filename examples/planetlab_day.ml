@@ -43,6 +43,7 @@ let () =
      remaining snapshots with them. *)
   let y_learn = Matrix.init m (Sparse.rows r) (fun l i -> Matrix.get run.Simulator.y l i) in
   let variances, _ = Core.Lia.learn ~r ~y:y_learn () in
+  let plan = Core.Plan.make ~r ~variances () in
 
   Printf.printf "\n-- cross-validation (eq. 11, epsilon = 0.005) --\n";
   let target = run.Simulator.snapshots.(m) in
@@ -57,9 +58,7 @@ let () =
   (* Diagnose each post-learning snapshot. *)
   let verdicts =
     Array.init (total - m) (fun t ->
-        let snap = run.Simulator.snapshots.(m + t) in
-        let res = Core.Lia.infer_with_variances ~r ~variances ~y_now:snap.Snapshot.y in
-        res)
+        Core.Plan.solve plan run.Simulator.snapshots.(m + t).Snapshot.y)
   in
 
   Printf.printf "\n-- congested link location (Table 3 analogue) --\n";

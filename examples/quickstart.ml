@@ -70,7 +70,12 @@ let () =
     Matrix.init 50 (Sparse.rows r) (fun l i -> snaps.(l).Netsim.Snapshot.y.(i))
   in
   let target = snaps.(50) in
-  let result = Core.Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let result =
+    match Core.Lia.infer_checked ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () with
+    | { Core.Lia.result = Some result; _ } -> result
+    | { Core.Lia.health; result = None } ->
+        failwith (Core.Lia.health_summary health)
+  in
   Printf.printf "%-6s %-12s %-12s %-12s %s\n" "link" "variance" "true loss"
     "inferred" "verdict";
   Array.iteri

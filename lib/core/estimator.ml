@@ -44,20 +44,6 @@ let tree_of (input : Measurement.t) =
       try Ok (routing, Netsim.Multicast.tree_of_routing routing)
       with Invalid_argument _ -> Error "skipped(not a single-beacon tree)")
 
-let check e (input : Measurement.t) =
-  let tree =
-    if not e.caps.tree_only then Ok ()
-    else match tree_of input with Error r -> Error r | Ok _ -> Ok ()
-  in
-  match tree with
-  | Error _ as err -> err
-  | Ok () ->
-      if e.caps.needs_snapshots && Matrix.rows input.Measurement.y_learn < 2
-      then Error "skipped(needs a learning window of >= 2 snapshots)"
-      else if e.caps.needs_variances && input.Measurement.variances = None then
-        Error "skipped(needs caller-supplied link variances)"
-      else Ok ()
-
 let verdicts_of_rates ~threshold rates = Array.map (fun l -> l > threshold) rates
 
 (* data faults become a typed refusal, never an exception escape *)
@@ -338,7 +324,7 @@ let plan =
                     note = "no finite target measurements";
                   }
             | Some (r, y_now, valid) ->
-                let res = Lia.infer_with_variances ~r ~variances ~y_now in
+                let res = Plan.solve (Plan.make ~r ~variances ()) y_now in
                 let health, note = target_health input valid in
                 rate_output ~health ~note ~threshold res.Lia.loss_rates)
   in

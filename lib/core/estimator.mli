@@ -65,12 +65,6 @@ type t = {
           bundle, same output. *)
 }
 
-val check : t -> Measurement.t -> (unit, string) result
-(** Capability screen only — the exact [Error] the adapter's [estimate]
-    would return without running it: tree derivability for [tree_only]
-    backends, learning-window size for [needs_snapshots], supplied
-    variances for [needs_variances]. *)
-
 val all : t list
 (** The registry, ordered baselines-first: [minc], [em], [mils],
     [scfs], [clink], [fourier], [plan], [lia-dense], [lia-cgls]. *)

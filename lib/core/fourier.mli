@@ -34,7 +34,7 @@ val subtree_paths : Netsim.Multicast.tree -> int array array
 type result = {
   result : Plan.result;
       (** the Phase-2 solve over the Fourier-learnt variances — same
-          record as {!Lia.infer} *)
+          record as {!Lia.infer_checked} returns *)
   unresolved : int;  (** nodes that fell back to the parent segment *)
 }
 

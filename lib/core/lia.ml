@@ -10,9 +10,6 @@ type result = Plan.result = {
   removed : int array;
 }
 
-let infer_with_variances ~r ~variances ~y_now =
-  Plan.solve (Plan.make ~r ~variances ()) y_now
-
 let m_checked =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Health-checked inferences served" "lia_checked_total"
@@ -69,24 +66,6 @@ let plan_backend = function
       } ->
       Cgls { tol; max_iter; precond = Variance_estimator.Pc_none }
   | solver -> solver
-
-let infer ?(solver = Dense_qr) ?jobs ~r ~y_learn ~y_now () =
-  if Matrix.cols y_learn <> Sparse.rows r then
-    invalid_arg "Lia: learning matrix width mismatch";
-  if Array.length y_now <> Sparse.rows r then
-    invalid_arg "Lia: measurement length mismatch";
-  Obs.Trace.with_span
-    ~args:
-      [
-        ("paths", Obs.Field.Int (Sparse.rows r));
-        ("links", Obs.Field.Int (Sparse.cols r));
-        ("m", Obs.Field.Int (Matrix.rows y_learn));
-      ]
-    "lia.infer"
-  @@ fun () ->
-  let variances, _ = learn ~solver ?jobs ~r ~y:y_learn () in
-  let backend = plan_backend solver in
-  Plan.solve (Plan.make ?jobs ~backend ~r ~variances ()) y_now
 
 let congested result ~threshold =
   Array.map (fun l -> l > threshold) result.loss_rates

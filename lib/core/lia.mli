@@ -7,11 +7,12 @@
     assigns transmission rate 1 (loss 0) to the eliminated links.
 
     One {!solver} value — the same type as {!Plan.backend} — configures
-    both phases. Both entry points run Phase 1 through {!learn}, then
-    build a single-use {!Plan} and solve one measurement through it. A
-    serving loop that diagnoses many snapshots against the same routing
-    matrix and variances should call [Plan.make] once and amortize the
-    factorization across [Plan.solve] / [Plan.solve_batch] calls. *)
+    both phases. {!infer_checked} is the one entry point that runs both:
+    Phase 1 through {!learn}, then a single-use {!Plan} that solves one
+    measurement. A serving loop that diagnoses many snapshots against
+    the same routing matrix and known variances calls [Plan.make] once
+    and amortizes the factorization across [Plan.solve] /
+    [Plan.solve_batch] calls. *)
 
 module Plan = Plan
 (** The factor-once, solve-many serving path. *)
@@ -83,46 +84,17 @@ val plan_backend : solver -> Plan.backend
     preconditioner only when that is block-Jacobi ([Pc_jacobi]
     preconditions Phase 1 only, so Phase 2 then runs raw CGLS). *)
 
-val infer :
-  ?solver:solver ->
-  ?jobs:int ->
-  r:Linalg.Sparse.t ->
-  y_learn:Linalg.Matrix.t ->
-  y_now:Linalg.Vector.t ->
-  unit ->
-  result
-(** [infer ~r ~y_learn ~y_now ()]: [y_learn] is the [m × n_p] matrix of
-    log path transmission rates of the learning snapshots; [y_now] the
-    log measurement of the snapshot to diagnose. Raises
-    [Invalid_argument] on dimension mismatches, before any work is
-    done. [solver] (default [Dense_qr]) picks the linear-algebra path of
-    both phases ({!learn}, {!plan_backend}). [jobs] (default
-    [Parallel.Pool.default_jobs ()]) runs Phase 1's covariance and
-    normal-equation kernels and Phase 2's QR on a domain pool; the
-    inferred rates are bit-for-bit independent of its value. *)
-
-val infer_with_variances :
-  r:Linalg.Sparse.t ->
-  variances:Linalg.Vector.t ->
-  y_now:Linalg.Vector.t ->
-  result
-(** Phase 2 only, for re-using variances learnt once across many target
-    snapshots (as the duration analysis of Section 7.2.2 does).
-    Equivalent to [Plan.solve (Plan.make ~r ~variances ()) y_now]; when
-    calling repeatedly with the same [r] and [variances], build the plan
-    once instead. *)
-
 val congested : result -> threshold:float -> bool array
 (** Links whose inferred loss rate exceeds the threshold [tl]. *)
 
-(** {1 Health-checked inference}
+(** {1 Inference}
 
-    The graceful-degradation entry point for production ingest, where
-    snapshot files arrive ragged, NaN-laden, duplicated, or short: the
-    learning matrix is scrubbed through {!Quarantine}, the variances are
-    learnt pairwise-complete with an effective-sample-size guard, and
-    the caller receives a typed verdict instead of an exception escape,
-    a NaN-laden estimate, or a silent wrong answer. *)
+    The one end-to-end entry point. It holds up on production ingest,
+    where snapshot files arrive ragged, NaN-laden, duplicated, or short:
+    the learning matrix is scrubbed through {!Quarantine}, the variances
+    are learnt pairwise-complete with an effective-sample-size guard,
+    and the caller receives a typed verdict instead of an exception
+    escape, a NaN-laden estimate, or a silent wrong answer. *)
 
 type degradation = {
   quarantine : Quarantine.report;  (** what ingest scrubbing removed *)
@@ -134,7 +106,8 @@ type degradation = {
 type health =
   | Clean
       (** nothing was quarantined or skipped; the result is bit-for-bit
-          [infer] on the same inputs *)
+          {!learn} followed by [Plan.solve (Plan.make ...)] on the same
+          inputs *)
   | Degraded of degradation
       (** inference proceeded on the surviving data; the report bounds
           what was lost *)
@@ -157,7 +130,10 @@ val infer_checked :
   y_now:Linalg.Vector.t ->
   unit ->
   checked
-(** [infer_checked ~r ~y_learn ~y_now ()] is the fault-tolerant [infer]:
+(** [infer_checked ~r ~y_learn ~y_now ()] runs both phases: [y_learn]
+    is the [m × n_p] matrix of log path transmission rates of the
+    learning snapshots, [y_now] the log measurement of the snapshot to
+    diagnose. It tolerates faulty input:
 
     - [y_learn] is scrubbed ({!Quarantine.scrub}, tolerating up to
       [max_missing_fraction] (default 0.5) missing cells per row);
@@ -171,13 +147,16 @@ val infer_checked :
     - any solver failure or non-finite output becomes [Refused], never
       an exception escape.
 
-    [solver] (default [Dense_qr]) picks the linear-algebra path as in
-    {!infer}; the quarantine, effective-sample-size accounting, and
-    verdict rules are identical under both, so [Cgls] changes estimates
-    only within solver tolerance. Raises [Invalid_argument] only for
-    dimension mismatches (programming errors, not data faults).
-    Deterministic: same inputs give the same verdict and bit-identical
-    estimates for every [jobs] value. *)
+    [solver] (default [Dense_qr]) picks the linear-algebra path of both
+    phases ({!learn}, {!plan_backend}); the quarantine,
+    effective-sample-size accounting, and verdict rules are identical
+    under both, so [Cgls] changes estimates only within solver
+    tolerance. [jobs] (default [Parallel.Pool.default_jobs ()]) runs
+    Phase 1's covariance and normal-equation kernels and Phase 2's QR on
+    a domain pool. Raises [Invalid_argument] only for dimension
+    mismatches (programming errors, not data faults), before any work is
+    done. Deterministic: same inputs give the same verdict and
+    bit-identical estimates for every [jobs] value. *)
 
 val health_label : health -> string
 (** ["clean"], ["degraded"], or ["refused"]. *)

@@ -11,7 +11,7 @@
     learnt once can be served against many targets).
 
     Measurements are {e log path transmission rates}, exactly the [y]
-    convention of {!Lia.infer}: row [l] of [y_learn] is snapshot [l],
+    convention of {!Lia.infer_checked}: row [l] of [y_learn] is snapshot [l],
     entry [i] is [log φ̂ᵢ]. Missing or corrupt cells are NaN, as produced
     by {!Netsim.Faults} and tolerated by the quarantine-aware paths. *)
 

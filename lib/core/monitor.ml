@@ -10,16 +10,6 @@ let m_evictions =
     ~help:"Snapshots evicted from full monitor windows (window churn)"
     "lia_monitor_evictions_total"
 
-let m_invalidations =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"Cached variance vectors invalidated by new observations"
-    "lia_monitor_cache_invalidations_total"
-
-let m_relearns =
-  Obs.Metrics.counter Obs.Metrics.default
-    ~help:"Variance re-estimations over the monitor window"
-    "lia_monitor_variance_relearns_total"
-
 let m_quarantined =
   Obs.Metrics.counter Obs.Metrics.default
     ~help:"Snapshots rejected by monitor ingest validation"
@@ -30,39 +20,11 @@ let g_window_fill =
     ~help:"Snapshots currently buffered by the most recent monitor"
     "lia_monitor_window_fill"
 
-type t = {
-  r : Sparse.t;
-  window : int;
-  buffer : Linalg.Vector.t Queue.t;
-  mutable cached_variances : Linalg.Vector.t option;
-}
+type t = { r : Sparse.t; window : int; buffer : Linalg.Vector.t Queue.t }
 
 let create ~r ~window =
   if window < 2 then invalid_arg "Monitor.create: window < 2";
-  { r; window; buffer = Queue.create (); cached_variances = None }
-
-(* [push] takes ownership of [y]; every path into the window goes
-   through it, so eviction and cache invalidation can never get out of
-   sync with ingest (a stale cached variance vector after host churn
-   would silently poison every subsequent inference). *)
-let push t y =
-  Obs.Metrics.incr m_observations;
-  Queue.add y t.buffer;
-  if Queue.length t.buffer > t.window then begin
-    ignore (Queue.pop t.buffer);
-    Obs.Metrics.incr m_evictions
-  end;
-  if t.cached_variances <> None then begin
-    Obs.Metrics.incr m_invalidations;
-    Obs.Trace.emit ~kind:"instant" "monitor.invalidate"
-  end;
-  Obs.Metrics.set g_window_fill (float_of_int (Queue.length t.buffer));
-  t.cached_variances <- None
-
-let observe t y =
-  if Array.length y <> Sparse.rows t.r then
-    invalid_arg "Monitor.observe: measurement length mismatch";
-  push t (Array.copy y)
+  { r; window; buffer = Queue.create () }
 
 type observation =
   | Accepted
@@ -77,9 +39,9 @@ let observation_to_string = function
   | Rejected reason ->
       Printf.sprintf "rejected (%s)" (Quarantine.reason_to_string reason)
 
-let observe_checked ?(max_missing_fraction = 0.5) t y =
+let observe ?(max_missing_fraction = 0.5) t y =
   if Array.length y <> Sparse.rows t.r then
-    invalid_arg "Monitor.observe_checked: measurement length mismatch";
+    invalid_arg "Monitor.observe: measurement length mismatch";
   let scrubbed, rep = Quarantine.scrub_vector y in
   let np = Array.length y in
   let invalid = np - Array.length rep.Quarantine.valid in
@@ -93,7 +55,13 @@ let observe_checked ?(max_missing_fraction = 0.5) t y =
     Rejected (Quarantine.Excess_missing { missing = invalid; total = np })
   end
   else begin
-    push t scrubbed;
+    Obs.Metrics.incr m_observations;
+    Queue.add scrubbed t.buffer;
+    if Queue.length t.buffer > t.window then begin
+      ignore (Queue.pop t.buffer);
+      Obs.Metrics.incr m_evictions
+    end;
+    Obs.Metrics.set g_window_fill (float_of_int (Queue.length t.buffer));
     if invalid = 0 then Accepted
     else
       Accepted_degraded
@@ -113,27 +81,8 @@ let window_matrix t =
     t.buffer;
   Matrix.init n (Sparse.rows t.r) (fun l i -> rows.(l).(i))
 
-let variances t =
-  match t.cached_variances with
-  | Some v -> v
-  | None ->
-      if size t < 2 then failwith "Monitor.variances: fewer than 2 snapshots";
-      Obs.Metrics.incr m_relearns;
-      Obs.Trace.with_span
-        ~args:[ ("window", Obs.Field.Int (size t)) ]
-        "monitor.relearn"
-      @@ fun () ->
-      let v =
-        fst
-          (Variance_estimator.estimate_streaming_ess ~r:t.r ~y:(window_matrix t) ())
-      in
-      t.cached_variances <- Some v;
-      v
-
-let infer t ~y_now = Lia.infer_with_variances ~r:t.r ~variances:(variances t) ~y_now
-
-let infer_checked ?min_pair_samples ?max_missing_fraction
-    ?max_skipped_pair_fraction t ~y_now =
+let infer ?min_pair_samples ?max_missing_fraction ?max_skipped_pair_fraction t
+    ~y_now =
   if size t < 2 then
     {
       Lia.health =

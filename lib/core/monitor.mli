@@ -1,21 +1,16 @@
 (** Streaming LIA: a sliding window of snapshots with on-demand inference.
 
     Deployments collect snapshots continuously; this wrapper keeps the
-    last [window] measurements, re-learns variances when asked, and runs
-    Phase 2 against any fresh snapshot — the operational mode of the
-    PlanetLab experiment (learn on the previous [m] snapshots, diagnose
-    the next). Learnt variances are cached and invalidated whenever the
-    window content changes. *)
+    last [window] measurements and runs {!Lia.infer_checked} over them
+    against any fresh snapshot — the operational mode of the PlanetLab
+    experiment (learn on the previous [m] snapshots, diagnose the next).
+    Every inference learns the variances from the window as it stands,
+    so host churn can never serve a stale estimate. *)
 
 type t
 
 val create : r:Linalg.Sparse.t -> window:int -> t
 (** Raises [Invalid_argument] when [window < 2]. *)
-
-val observe : t -> Linalg.Vector.t -> unit
-(** Appends a snapshot measurement (log path transmission rates), evicting
-    the oldest when the window is full. Raises [Invalid_argument] on a
-    length mismatch. *)
 
 type observation =
   | Accepted  (** every measurement was a valid log success rate *)
@@ -26,15 +21,14 @@ type observation =
 
 val observation_to_string : observation -> string
 
-val observe_checked :
-  ?max_missing_fraction:float -> t -> Linalg.Vector.t -> observation
-(** Validating ingest: NaN cells are treated as missing, non-finite or
-    positive log rates as corrupt (neutralized to missing after being
-    counted). A snapshot whose invalid fraction exceeds
-    [max_missing_fraction] (default 0.5) — or that is entirely invalid —
-    is rejected and never enters the window, so a faulty collector
-    cannot push the monitor's variance estimates off a cliff. Accepted
-    snapshots invalidate the variance cache exactly like {!observe}.
+val observe : ?max_missing_fraction:float -> t -> Linalg.Vector.t -> observation
+(** Appends a snapshot measurement (log path transmission rates),
+    evicting the oldest when the window is full. NaN cells are treated
+    as missing, non-finite or positive log rates as corrupt (neutralized
+    to missing after being counted). A snapshot whose invalid fraction
+    exceeds [max_missing_fraction] (default 0.5) — or that is entirely
+    invalid — is rejected and never enters the window, so a faulty
+    collector cannot push the monitor's variance estimates off a cliff.
     Raises [Invalid_argument] on a length mismatch only. *)
 
 val size : t -> int
@@ -43,14 +37,7 @@ val size : t -> int
 val window_matrix : t -> Linalg.Matrix.t
 (** The current window as a snapshot matrix (oldest row first). *)
 
-val variances : t -> Linalg.Vector.t
-(** Learnt link variances over the current window (cached). Raises
-    [Failure] when fewer than two snapshots are held. *)
-
-val infer : t -> y_now:Linalg.Vector.t -> Lia.result
-(** Phase 2 on [y_now] with the cached variances. *)
-
-val infer_checked :
+val infer :
   ?min_pair_samples:int ->
   ?max_missing_fraction:float ->
   ?max_skipped_pair_fraction:float ->

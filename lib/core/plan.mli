@@ -8,8 +8,7 @@
     extraction of [R*], and its Householder factorization — and serves
     each measurement with an O(n_p·k) Q-apply plus back-substitution
     ([k] = columns of [R*]), instead of redoing the full
-    O(n_c·n_p·k + n_p·k²) pipeline per call as [Lia.infer_with_variances]
-    did before it became a wrapper over this module.
+    O(n_c·n_p·k + n_p·k²) pipeline per call.
 
     Build-vs-solve complexity, for [n_p] paths, [n_c] links, [k] kept
     columns, [M] snapshots:

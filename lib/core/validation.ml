@@ -54,7 +54,12 @@ let cross_validate rng ~r ~y_learn ~y_now ~epsilon =
     Matrix.init m (Array.length inf_rows) (fun l k -> Matrix.get y_learn l inf_rows.(k))
   in
   let y_now_inf = Array.map (fun i -> y_now.(i)) inf_rows in
-  let result = Lia.infer ~r:r_inf ~y_learn:y_learn_inf ~y_now:y_now_inf () in
+  let result =
+    match Lia.infer_checked ~r:r_inf ~y_learn:y_learn_inf ~y_now:y_now_inf () with
+    | { Lia.result = Some result; _ } -> result
+    | { Lia.health; result = None } ->
+        failwith ("Validation.cross_validate: " ^ Lia.health_summary health)
+  in
   (* scatter the inferred rates back to global column ids *)
   let covered = Array.make (Sparse.cols r) false in
   let transmission = Array.make (Sparse.cols r) 1. in

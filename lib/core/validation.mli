@@ -35,5 +35,7 @@ val cross_validate :
   y_now:Linalg.Vector.t ->
   epsilon:float ->
   report
-(** Full procedure: split, run LIA on the inference rows (learning from
-    the same rows of [y_learn]), validate on the rest. *)
+(** Full procedure: split, run {!Lia.infer_checked} on the inference
+    rows (learning from the same rows of [y_learn]), validate on the
+    rest. Raises [Failure] with the {!Lia.health_summary} when LIA
+    refuses the inference half. *)

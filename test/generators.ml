@@ -29,6 +29,24 @@ let matrix_bits_equal m1 m2 =
        !ok
      end
 
+(* --- LIA end to end -------------------------------------------------------- *)
+
+(* LIA's two phases composed from their public APIs: [Lia.learn], then a
+   single-use plan on [Lia.plan_backend solver]. A [Clean] verdict of
+   [Lia.infer_checked] on the same inputs must equal it bit for bit. *)
+let seed_pipeline ?(solver = Core.Lia.Dense_qr) ?jobs ~r ~y_learn ~y_now () =
+  let variances, _ = Core.Lia.learn ~solver ?jobs ~r ~y:y_learn () in
+  let backend = Core.Lia.plan_backend solver in
+  Core.Plan.solve (Core.Plan.make ?jobs ~backend ~r ~variances ()) y_now
+
+(* The result of [Lia.infer_checked]; a refusal fails the test with the
+   verdict. *)
+let infer ?solver ~r ~y_learn ~y_now () =
+  match Core.Lia.infer_checked ?solver ~r ~y_learn ~y_now () with
+  | { Core.Lia.result = Some res; _ } -> res
+  | { Core.Lia.health; result = None } ->
+      failwith ("Lia refused: " ^ Core.Lia.health_summary health)
+
 (* --- random problem instances ------------------------------------------- *)
 
 let seed_arb = QCheck.int_range 1 5000

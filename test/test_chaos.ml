@@ -1,17 +1,19 @@
 (* Chaos suite: deterministic fault injection end to end.
 
    The contracts under test, in order:
-   - fault-off is the seed pipeline, bit for bit;
+   - fault-off is the seed pipeline (Lia.learn, then Plan.make and
+     Plan.solve), bit for bit, under both solvers;
    - the injected fault schedule is a pure function of the spec and the
      matrix shape (same seed, same faults), and the quarantine report and
      estimates are identical for every jobs value;
    - repairing the input recovers the never-faulted output bit for bit;
    - every fault kind ends in exactly one of: clean (bit-identical to
-     Lia.infer), typed Degraded with finite estimates, or typed Refused —
-     never an escaped exception, never NaN in the loss rates;
+     the seed pipeline), typed Degraded with finite estimates, or typed
+     Refused — never an escaped exception, never NaN in the loss rates;
    - the degraded solve is still the Plan pipeline (regression pin);
-   - the monitor never serves a stale cached variance vector across
-     host-churn evictions, and rejects unusable snapshots at ingest. *)
+   - the monitor serves variances learnt from the window as it stands
+     after host-churn evictions, and rejects unusable snapshots at
+     ingest. *)
 
 module Sparse = Linalg.Sparse
 module Matrix = Linalg.Matrix
@@ -55,22 +57,26 @@ let result_finite (r : Lia.result) =
 
 (* --- (a) fault off = seed pipeline --------------------------------------- *)
 
+let solvers = [ Lia.Dense_qr; Lia.default_cgls ]
+
 let prop_fault_off_is_seed_pipeline =
   QCheck.Test.make ~count:10
     ~name:"chaos: fault-spec none = seed pipeline, bit for bit" G.seed_arb
     (fun seed ->
       let r, y_learn, target = G.random_tree_trial seed in
+      let y_now = target.Netsim.Snapshot.y in
       let y', schedule = Faults.apply Faults.none y_learn in
-      let checked =
-        Lia.infer_checked ~r ~y_learn:y' ~y_now:target.Netsim.Snapshot.y ()
-      in
-      let baseline = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
       G.matrix_bits_equal y_learn y'
       && schedule = []
-      && checked.Lia.health = Lia.Clean
-      && match checked.Lia.result with
-         | Some res -> result_bits_equal res baseline
-         | None -> false)
+      && List.for_all
+           (fun solver ->
+             let checked = Lia.infer_checked ~solver ~r ~y_learn:y' ~y_now () in
+             let baseline = G.seed_pipeline ~solver ~r ~y_learn ~y_now () in
+             checked.Lia.health = Lia.Clean
+             && match checked.Lia.result with
+                | Some res -> result_bits_equal res baseline
+                | None -> false)
+           solvers)
 
 (* --- (b) same seed, same schedule; jobs-invariant verdicts ----------------- *)
 
@@ -125,8 +131,8 @@ let fault_kinds =
 let prop_trichotomy =
   QCheck.Test.make ~count:6
     ~name:
-      "chaos: every fault kind is clean (= Lia.infer), Degraded+finite, or \
-       Refused — never an escaped exception"
+      "chaos: every fault kind is clean (= seed pipeline), Degraded+finite, \
+       or Refused — never an escaped exception"
     G.seed_arb
     (fun seed ->
       let r, y_learn, target = G.random_tree_trial seed in
@@ -139,16 +145,20 @@ let prop_trichotomy =
             | Error msg -> failwith msg
           in
           let y, _ = Faults.apply spec y_learn in
-          match Lia.infer_checked ~r ~y_learn:y ~y_now () with
-          | exception e ->
-              QCheck.Test.fail_reportf "fault %s escaped: %s" kind
-                (Printexc.to_string e)
-          | { Lia.health = Lia.Clean; result = Some res } ->
-              result_bits_equal res (Lia.infer ~r ~y_learn:y ~y_now ())
-          | { Lia.health = Lia.Degraded _; result = Some res } ->
-              result_finite res
-          | { Lia.health = Lia.Refused _; result = None } -> true
-          | _ -> false)
+          List.for_all
+            (fun solver ->
+              match Lia.infer_checked ~solver ~r ~y_learn:y ~y_now () with
+              | exception e ->
+                  QCheck.Test.fail_reportf "fault %s escaped: %s" kind
+                    (Printexc.to_string e)
+              | { Lia.health = Lia.Clean; result = Some res } ->
+                  result_bits_equal res
+                    (G.seed_pipeline ~solver ~r ~y_learn:y ~y_now ())
+              | { Lia.health = Lia.Degraded _; result = Some res } ->
+                  result_finite res
+              | { Lia.health = Lia.Refused _; result = None } -> true
+              | _ -> false)
+            solvers)
         fault_kinds)
 
 (* --- regression: the degraded solve is still the Plan pipeline ------------- *)
@@ -193,31 +203,38 @@ let test_degraded_target_solves_valid_rows () =
   | { Lia.health = h; _ } ->
       Alcotest.failf "expected Degraded, got %s" (Lia.health_label h)
 
-(* --- monitor: churn-safe caching and validating ingest --------------------- *)
+(* --- monitor: churn-safe serving and validating ingest --------------------- *)
+
+let accept t y =
+  match Monitor.observe t y with
+  | Monitor.Accepted -> ()
+  | o -> Alcotest.failf "clean snapshot: %s" (Monitor.observation_to_string o)
+
+let served_variances t ~y_now =
+  match Monitor.infer t ~y_now with
+  | { Lia.result = Some res; _ } -> res.Lia.variances
+  | { Lia.health; _ } -> Alcotest.failf "refused: %s" (Lia.health_summary health)
 
 let test_monitor_churn_never_serves_stale_variances () =
-  let r, y_learn, _ = G.random_tree_trial 11 in
+  let r, y_learn, target = G.random_tree_trial 11 in
   let np = Sparse.rows r in
+  let y_now = target.Netsim.Snapshot.y in
   let t = Monitor.create ~r ~window:5 in
   for l = 0 to 4 do
-    Monitor.observe t (Matrix.row y_learn l)
+    accept t (Matrix.row y_learn l)
   done;
-  let v_before = Array.copy (Monitor.variances t) in
+  let v_before = served_variances t ~y_now in
   (* host churn: the next snapshot arrives with two hosts dark; it is
      accepted degraded and evicts the oldest window entry *)
   let churned = Array.copy (Matrix.row y_learn 5) in
   churned.(0) <- Float.nan;
   churned.(np - 1) <- Float.nan;
-  (match Monitor.observe_checked t churned with
+  (match Monitor.observe t churned with
   | Monitor.Accepted_degraded { missing = 2; corrupt = 0 } -> ()
   | o -> Alcotest.failf "unexpected ingest verdict: %s" (Monitor.observation_to_string o));
   Alcotest.(check int) "window stays full" 5 (Monitor.size t);
-  let v_after = Monitor.variances t in
-  let fresh =
-    fst
-      (Core.Variance_estimator.estimate_streaming_ess ~r
-         ~y:(Monitor.window_matrix t) ())
-  in
+  let v_after = served_variances t ~y_now in
+  let fresh = fst (Lia.learn ~r ~y:(Monitor.window_matrix t) ()) in
   Alcotest.(check bool) "served variances are fresh, bit for bit" true
     (G.vec_bits_equal v_after fresh);
   Alcotest.(check bool) "stale pre-churn vector was not served" false
@@ -227,23 +244,24 @@ let test_monitor_rejects_unusable_snapshots () =
   let r, y_learn, _ = G.random_tree_trial 13 in
   let np = Sparse.rows r in
   let t = Monitor.create ~r ~window:4 in
-  Monitor.observe t (Matrix.row y_learn 0);
-  (match Monitor.observe_checked t (Array.make np Float.nan) with
+  accept t (Matrix.row y_learn 0);
+  let before = Monitor.window_matrix t in
+  (match Monitor.observe t (Array.make np Float.nan) with
   | Monitor.Rejected Quarantine.All_missing -> ()
   | o -> Alcotest.failf "all-NaN snapshot: %s" (Monitor.observation_to_string o));
   (let bad = Array.copy (Matrix.row y_learn 1) in
    Array.fill bad 0 (np - (np / 4)) Float.nan;
-   match Monitor.observe_checked t bad with
+   match Monitor.observe t bad with
    | Monitor.Rejected (Quarantine.Excess_missing _) -> ()
    | o -> Alcotest.failf "mostly-NaN snapshot: %s" (Monitor.observation_to_string o));
-  Alcotest.(check int) "rejected snapshots never enter the window" 1
-    (Monitor.size t)
+  Alcotest.(check bool) "rejected snapshots never enter the window" true
+    (G.matrix_bits_equal before (Monitor.window_matrix t))
 
-let test_monitor_infer_checked_refuses_short_window () =
+let test_monitor_infer_refuses_short_window () =
   let r, y_learn, _ = G.random_tree_trial 17 in
   let t = Monitor.create ~r ~window:4 in
-  Monitor.observe t (Matrix.row y_learn 0);
-  match Monitor.infer_checked t ~y_now:(Matrix.row y_learn 1) with
+  accept t (Matrix.row y_learn 0);
+  match Monitor.infer t ~y_now:(Matrix.row y_learn 1) with
   | { Lia.health = Lia.Refused _; result = None } -> ()
   | { Lia.health = h; _ } ->
       Alcotest.failf "expected Refused, got %s" (Lia.health_label h)
@@ -305,7 +323,7 @@ let units =
     Alcotest.test_case "monitor: unusable snapshots rejected" `Quick
       test_monitor_rejects_unusable_snapshots;
     Alcotest.test_case "monitor: short window refuses" `Quick
-      test_monitor_infer_checked_refuses_short_window;
+      test_monitor_infer_refuses_short_window;
     Alcotest.test_case "quarantine: reasons and precedence" `Quick
       test_quarantine_reasons;
     Alcotest.test_case "ess: complete matrix accounting" `Quick

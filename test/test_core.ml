@@ -313,7 +313,7 @@ let lia_tree_setup seed =
 
 let test_lia_detects_congested_links () =
   let r, y_learn, target = lia_tree_setup 29 in
-  let res = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let res = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   let inferred = Lia.congested res ~threshold:0.002 in
   let loc = Metrics.location ~actual:target.Netsim.Snapshot.congested ~inferred in
   Alcotest.(check bool) "DR above 0.9" true (loc.Metrics.dr > 0.9);
@@ -321,7 +321,7 @@ let test_lia_detects_congested_links () =
 
 let test_lia_loss_rate_accuracy () =
   let r, y_learn, target = lia_tree_setup 31 in
-  let res = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let res = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   let errs =
     Metrics.absolute_errors ~actual:target.Netsim.Snapshot.realized
       ~inferred:res.Lia.loss_rates
@@ -332,7 +332,7 @@ let test_lia_loss_rate_accuracy () =
 
 let test_lia_removed_links_get_zero_loss () =
   let r, y_learn, target = lia_tree_setup 37 in
-  let res = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let res = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   Array.iter
     (fun j ->
       close "removed -> transmission 1" 1. res.Lia.transmission.(j);
@@ -341,7 +341,7 @@ let test_lia_removed_links_get_zero_loss () =
 
 let test_lia_transmission_clamped () =
   let r, y_learn, target = lia_tree_setup 41 in
-  let res = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let res = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   Array.iter
     (fun t -> Alcotest.(check bool) "in (0,1]" true (t > 0. && t <= 1.))
     res.Lia.transmission
@@ -349,17 +349,16 @@ let test_lia_transmission_clamped () =
 let test_lia_with_variances_reuse () =
   let r, y_learn, target = lia_tree_setup 43 in
   let v, _ = Lia.learn ~r ~y:y_learn () in
-  let a = Lia.infer_with_variances ~r ~variances:v ~y_now:target.Netsim.Snapshot.y in
-  let b = Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let a = Core.Plan.solve (Core.Plan.make ~r ~variances:v ()) target.Netsim.Snapshot.y in
+  let b = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   Alcotest.(check bool) "same result" true
     (Vector.approx_equal ~tol:1e-12 a.Lia.loss_rates b.Lia.loss_rates)
 
 let test_lia_dimension_checks () =
   let r, y_learn, _ = lia_tree_setup 47 in
   Alcotest.check_raises "bad measurement length"
-    (Invalid_argument "Lia: measurement length mismatch") (fun () ->
-      ignore
-        (Lia.infer ~r ~y_learn ~y_now:[| 0. |] ()))
+    (Invalid_argument "Lia.infer_checked: measurement length mismatch")
+    (fun () -> ignore (Lia.infer_checked ~r ~y_learn ~y_now:[| 0. |] ()))
 
 (* a wrong-length target is rejected before Phase 1 spends any work *)
 let test_lia_target_checked_first () =
@@ -369,7 +368,7 @@ let test_lia_target_checked_first () =
   Obs.Metrics.enable reg;
   let before = Obs.Metrics.counter_value pairs in
   let raised =
-    match Lia.infer ~r ~y_learn ~y_now:[| 0. |] () with
+    match Lia.infer_checked ~r ~y_learn ~y_now:[| 0. |] () with
     | _ -> false
     | exception Invalid_argument _ -> true
   in

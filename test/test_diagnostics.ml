@@ -147,7 +147,7 @@ let sample_result () =
   in
   let run = Netsim.Simulator.run rng config r ~count:21 in
   let y_learn, target = Netsim.Simulator.split_learning run ~learning:20 in
-  let result = Core.Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
+  let result = Generators.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
   (tb, routing, result)
 
 let test_report_summary () =

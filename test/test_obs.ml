@@ -201,7 +201,7 @@ let prop_inference_bits_unchanged_by_obs =
       let r, y_learn, y_now = random_campaign seed in
       let reg = Obs.Metrics.default in
       Obs.Metrics.disable reg;
-      let off = Core.Lia.infer ~r ~y_learn ~y_now () in
+      let off = Generators.infer ~r ~y_learn ~y_now () in
       Obs.Metrics.reset reg;
       Obs.Metrics.enable reg;
       let trace_sink, _ = Obs.Sink.memory () in
@@ -209,7 +209,7 @@ let prop_inference_bits_unchanged_by_obs =
       let log_sink, _ = Obs.Sink.memory () in
       Obs.Logger.set_sink Obs.Logger.default (Some log_sink);
       Obs.Logger.set_level Obs.Logger.default (Some Obs.Logger.Debug);
-      let on = Core.Lia.infer ~r ~y_learn ~y_now () in
+      let on = Generators.infer ~r ~y_learn ~y_now () in
       Obs.Logger.set_level Obs.Logger.default None;
       Obs.Logger.set_sink Obs.Logger.default None;
       Obs.Trace.close ();
@@ -328,11 +328,11 @@ let prop_inference_bits_unchanged_by_recorder =
           }
       in
       Obs.Recorder.disable Obs.Recorder.default;
-      let off = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
+      let off = Generators.infer ~solver ~r ~y_learn ~y_now () in
       Obs.Recorder.enable Obs.Recorder.default;
       let conv_sink, _ = Obs.Sink.memory () in
       Obs.Trace.set_convergence_sink (Some conv_sink);
-      let on = Core.Lia.infer ~solver ~r ~y_learn ~y_now () in
+      let on = Generators.infer ~solver ~r ~y_learn ~y_now () in
       Obs.Trace.set_convergence_sink None;
       Obs.Recorder.disable Obs.Recorder.default;
       Obs.Recorder.reset Obs.Recorder.default;
@@ -358,7 +358,7 @@ let prop_convergence_jsonl_well_formed =
       in
       let sink, lines = Obs.Sink.memory () in
       Obs.Trace.set_convergence_sink (Some sink);
-      ignore (Core.Lia.infer ~solver ~r ~y_learn ~y_now ());
+      ignore (Core.Lia.infer_checked ~solver ~r ~y_learn ~y_now ());
       Obs.Trace.set_convergence_sink None;
       let ls = lines () in
       let last_iter = Hashtbl.create 8 in

@@ -15,8 +15,8 @@ let vec_bits_equal = Generators.vec_bits_equal
 let matrix_bits_equal = Generators.matrix_bits_equal
 let random_instance = Generators.random_instance
 
-(* The seed implementation of Lia.infer_with_variances, frozen here as the
-   oracle: everything recomputed per call, sequential QR. *)
+(* The seed Phase-2 implementation, frozen here as the oracle: everything
+   recomputed per call, sequential QR. *)
 let seed_phase2 ~r ~variances ~y_now =
   let nc = Sparse.cols r in
   let { Core.Rank_reduction.kept; removed } =
@@ -48,18 +48,6 @@ let prop_plan_solve_matches_seed =
       && kept = res.Core.Plan.kept
       && removed = res.Core.Plan.removed
       && vec_bits_equal variances res.Core.Plan.variances)
-
-let prop_infer_with_variances_matches_plan =
-  QCheck.Test.make ~count:10
-    ~name:"Lia.infer_with_variances: still the seed pipeline"
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let r, variances, y = random_instance seed in
-      let y_now = Matrix.row y 0 in
-      let res = Core.Lia.infer_with_variances ~r ~variances ~y_now in
-      let transmission, loss_rates, _, _ = seed_phase2 ~r ~variances ~y_now in
-      vec_bits_equal transmission res.Core.Lia.transmission
-      && vec_bits_equal loss_rates res.Core.Lia.loss_rates)
 
 let prop_solve_batch_matches_solve =
   QCheck.Test.make ~count:20
@@ -191,7 +179,6 @@ let properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_plan_solve_matches_seed;
-      prop_infer_with_variances_matches_plan;
       prop_solve_batch_matches_solve;
       prop_parallel_qr_jobs_invariant;
       prop_least_squares_batch_matches_columns;

@@ -20,7 +20,7 @@ let prop_lia_output_well_formed =
     QCheck.(int_range 1 5000)
     (fun seed ->
       let r, y_learn, target = random_tree_trial seed in
-      let res = Core.Lia.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
+      let res = Generators.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
       let nc = Sparse.cols r in
       let seen = Array.make nc 0 in
       Array.iter (fun j -> seen.(j) <- seen.(j) + 1) res.Core.Lia.kept;
@@ -38,7 +38,7 @@ let prop_lia_kept_descending_variance =
     QCheck.(int_range 1 5000)
     (fun seed ->
       let r, y_learn, target = random_tree_trial seed in
-      let res = Core.Lia.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
+      let res = Generators.infer ~r ~y_learn ~y_now:target.Snapshot.y () in
       let v = res.Core.Lia.variances in
       let rec descending = function
         | a :: (b :: _ as rest) -> v.(a) >= v.(b) && descending rest

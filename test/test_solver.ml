@@ -338,12 +338,14 @@ let prop_full_sample_is_identity =
 (* The full-rank regime under the production toggles: learning
    snapshots with exact covariances R diag(v) Rᵀ make every linked
    pair's covariance positive, so the drop-negative rule keeps every row
-   and Theorem 1 gives a unique Phase-1 minimizer. *)
+   and Theorem 1 gives a unique Phase-1 minimizer. Those snapshots are
+   centered, not valid log rates, so the two phases run without the
+   ingest quarantine of [Lia.infer_checked]. *)
 let prop_infer_cgls_matches_dense =
   QCheck.Test.make ~count:12
     ~name:
-      "Lia.infer solver:cgls: loss rates track the dense pipeline (full-rank \
-       regime)"
+      "Lia.learn + Plan solver:cgls: loss rates track the dense pipeline \
+       (full-rank regime)"
     Generators.seed_arb
     (fun seed ->
       let r, _, target = Generators.random_tree_trial seed in
@@ -353,10 +355,9 @@ let prop_infer_cgls_matches_dense =
       let solver =
         Core.Lia.Cgls { tol = 1e-14; max_iter = None; precond = VE.Pc_jacobi }
       in
-      let dense = Core.Lia.infer ~r ~y_learn ~y_now:target.Netsim.Snapshot.y () in
-      let cgls =
-        Core.Lia.infer ~solver ~r ~y_learn ~y_now:target.Netsim.Snapshot.y ()
-      in
+      let y_now = target.Netsim.Snapshot.y in
+      let dense = Generators.seed_pipeline ~r ~y_learn ~y_now () in
+      let cgls = Generators.seed_pipeline ~solver ~r ~y_learn ~y_now () in
       (* kept is chosen greedily in estimated-variance order, so
          solver-tolerance differences can elect a different (equally
          valid) basis on near-ties — the estimates are what must agree *)
